@@ -96,7 +96,7 @@ void BM_CmulF32Simd(benchmark::State& state) {
 BENCHMARK(BM_CmulF32Simd);
 
 void BM_Fft64F32(benchmark::State& state) {
-  const dsp::FftPlan32 plan(64);
+  const dsp::FftPlan<float> plan(64);
   Rng rng(1);
   CVec wide(64);
   for (auto& v : wide) v = rng.cgaussian();
@@ -226,7 +226,7 @@ void BM_FirCoreF32(benchmark::State& state) {
   dsp::kernels::narrow(hw, h);
   dsp::kernels::narrow(extw, ext);
   for (auto _ : state) {
-    dsp::fir_core32(h, ext.data(), y);
+    dsp::fir_core(h, ext.data(), y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -97,7 +97,7 @@ std::vector<KernelTiming> time_kernels(int reps) {
 
   {
     // 64-point forward/inverse transforms: the OFDM modem's innermost loop.
-    const dsp::FftPlan& plan = dsp::FftPlan::cached(64);
+    const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(64);
     CVec x(64);
     for (auto& v : x) v = rng.cgaussian();
     constexpr std::size_t kBatch = 20000;
@@ -111,7 +111,7 @@ std::vector<KernelTiming> time_kernels(int reps) {
                    kBatch});
     // The float32 twin: same transform, double the SIMD lanes per register.
     // Paired with fft64_forward so the width gain is a row-to-row ratio.
-    const dsp::FftPlan32& plan32 = dsp::FftPlan32::cached(64);
+    const dsp::FftPlan<float>& plan32 = dsp::FftPlan<float>::cached(64);
     dsp::kernels::AlignedCVec32 x32(64);
     dsp::kernels::narrow(x, x32);
     out.push_back({"fft64_forward_f32",
@@ -121,7 +121,7 @@ std::vector<KernelTiming> time_kernels(int reps) {
                    kBatch});
   }
   {
-    const dsp::FftPlan& plan = dsp::FftPlan::cached(1024);
+    const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(1024);
     CVec x(1024);
     for (auto& v : x) v = rng.cgaussian();
     constexpr std::size_t kBatch = 2000;

@@ -69,7 +69,7 @@ void CfoRotator::process_into(CSpan32 x, CMutSpan32 out, dsp::kernels::Workspace
     step_sin_ = std::sin(step_rad_);
     step_trig_cached_ = true;
   }
-  CMutSpan32 phasors = ws.get_f32(0, x.size());
+  CMutSpan32 phasors = ws.get<float>(0, x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (pos32_ % kAnchor == 0) {
       rec_cos_ = std::cos(phase_);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 namespace ff {
@@ -44,6 +45,20 @@ enum class Precision : std::uint8_t { kF64, kF32 };
 /// --precision CLI flag use these.
 inline const char* to_string(Precision p) {
   return p == Precision::kF32 ? "f32" : "f64";
+}
+
+/// One engine E<T> for the precision a component runs at. The DSP core is
+/// generic over the sample type T (dsp::FirFilter<T>, dsp::FftPlan<T>), and
+/// a component configured with a Precision owns the one instantiation it
+/// runs, never both.
+template <template <typename> class E>
+using AtPrecision = std::variant<E<double>, E<float>>;
+
+/// Build it: make(T{}) for the T that `precision` names.
+template <template <typename> class E, typename Make>
+AtPrecision<E> at_precision(Precision precision, Make&& make) {
+  if (precision == Precision::kF32) return make(float{});
+  return make(double{});
 }
 
 inline constexpr Complex kI{0.0, 1.0};

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,40 +28,57 @@
 
 namespace ff::dsp {
 
-/// FFT execution plan for a fixed power-of-two size. Immutable once built,
-/// so a single plan may be shared freely across threads (per-thread scratch
-/// lives in thread_local storage, not in the plan).
+/// FFT execution plan for a fixed power-of-two size, on samples of
+/// precision T. Immutable once built, so a single plan may be shared freely
+/// across threads (per-thread scratch lives in thread_local storage, not in
+/// the plan).
+///
+/// T = float runs the same mixed-radix Stockham schedule on the f32 kernel
+/// family (4 complex lanes per AVX2 register instead of 2). Twiddles are
+/// computed in double and rounded once to T, so the tables are a pure
+/// function of n on every platform — f32 transform output depends on the
+/// input alone, never on libm's float variants. The radix-2 reference is
+/// double-only: the f64 plan is the accuracy baseline (docs/PERFORMANCE.md,
+/// "The float32 family").
+template <typename T = double>
 class FftPlan {
  public:
+  using Sample = std::complex<T>;
+  using Span = std::span<const Sample>;
+  using MutSpan = std::span<Sample>;
+
   /// `n` must be a power of two >= 2.
   explicit FftPlan(std::size_t n);
 
-  /// Shared process-wide plan for size `n`, built on first use. Plans are
-  /// immutable and never evicted, so the returned reference stays valid for
-  /// the lifetime of the process and is safe to use concurrently — this is
-  /// what the parallel evaluation engine's workers hit.
+  /// Shared process-wide plan for size `n` (one cache per T), built on
+  /// first use. Plans are immutable and never evicted, so the returned
+  /// reference stays valid for the lifetime of the process and is safe to
+  /// use concurrently — this is what the parallel evaluation engine's
+  /// workers hit.
   static const FftPlan& cached(std::size_t n);
 
   std::size_t size() const { return n_; }
 
   /// In-place forward DFT: X[k] = sum_n x[n] e^{-j 2pi k n / N}.
-  void forward(CMutSpan data) const;
+  void forward(MutSpan data) const;
 
   /// In-place inverse DFT including the 1/N normalization.
-  void inverse(CMutSpan data) const;
+  void inverse(MutSpan data) const;
 
   /// Batched transform of `count` contiguous length-n blocks: in-place when
   /// `in.data() == out.data()`, otherwise fully out-of-place (spans must not
   /// partially overlap). This is the entry point for burst OFDM
   /// (de)modulation — one call per burst instead of one per symbol.
-  void execute_many(CSpan in, CMutSpan out, std::size_t count,
+  void execute_many(Span in, MutSpan out, std::size_t count,
                     bool invert = false) const;
 
   /// Reference transforms: the original iterative radix-2 implementation
   /// (bit-reversal permutation + in-place butterflies). Kept for ulp-bound
   /// tests and as the baseline row in bench_micro_kernels.
-  void forward_radix2(CMutSpan data) const;
-  void inverse_radix2(CMutSpan data) const;
+  void forward_radix2(MutSpan data) const
+    requires std::is_same_v<T, double>;
+  void inverse_radix2(MutSpan data) const
+    requires std::is_same_v<T, double>;
 
  private:
   // One Stockham pass: `butterflies` butterflies of width `radix` over
@@ -72,65 +91,19 @@ class FftPlan {
   };
 
   template <bool kInvert>
-  void transform_radix2(CMutSpan data) const;
+  void transform_radix2(MutSpan data) const;
 
-  void run_stages(const Complex* src, Complex* dst, Complex* scratch,
+  void run_stages(const Sample* src, Sample* dst, Sample* scratch,
                   bool invert) const;
-  void transform_stockham(CMutSpan data, bool invert) const;
+  void transform_stockham(MutSpan data, bool invert) const;
 
   std::size_t n_;
   std::vector<std::size_t> bitrev_;          // radix-2 reference only
-  kernels::AlignedCVec twiddle_;             // radix-2 forward twiddles
-  kernels::AlignedCVec inv_twiddle_;         // conjugate table
+  kernels::AlignedVec<T> twiddle_;           // radix-2 forward twiddles
+  kernels::AlignedVec<T> inv_twiddle_;       // conjugate table
   std::vector<Stage> stages_;                // mixed-radix schedule
-  kernels::AlignedCVec stage_tw_;            // per-stage twiddles, forward
-  kernels::AlignedCVec stage_tw_inv_;        // conjugate table
-};
-
-/// Float32 twin of FftPlan: the same mixed-radix Stockham schedule running
-/// on the f32 kernel family (4 complex lanes per AVX2 register instead of
-/// 2). Twiddles are computed in double and narrowed once, so the tables are
-/// a pure function of n on every platform — f32 transform output depends on
-/// the input alone, never on libm's float variants. No radix-2 reference
-/// twin: the f64 plan remains the accuracy baseline
-/// (docs/PERFORMANCE.md, "The float32 family").
-class FftPlan32 {
- public:
-  /// `n` must be a power of two >= 2.
-  explicit FftPlan32(std::size_t n);
-
-  /// Shared process-wide plan for size `n` (same lifetime/concurrency
-  /// contract as FftPlan::cached; a separate cache).
-  static const FftPlan32& cached(std::size_t n);
-
-  std::size_t size() const { return n_; }
-
-  /// In-place forward DFT.
-  void forward(CMutSpan32 data) const;
-
-  /// In-place inverse DFT including the 1/N normalization.
-  void inverse(CMutSpan32 data) const;
-
-  /// Batched transform, mirror of FftPlan::execute_many.
-  void execute_many(CSpan32 in, CMutSpan32 out, std::size_t count,
-                    bool invert = false) const;
-
- private:
-  struct Stage {
-    std::size_t radix;
-    std::size_t butterflies;
-    std::size_t m;
-    std::size_t tw_offset;
-  };
-
-  void run_stages(const Complex32* src, Complex32* dst, Complex32* scratch,
-                  bool invert) const;
-  void transform_stockham(CMutSpan32 data, bool invert) const;
-
-  std::size_t n_;
-  std::vector<Stage> stages_;
-  kernels::AlignedCVec32 stage_tw_;
-  kernels::AlignedCVec32 stage_tw_inv_;
+  kernels::AlignedVec<T> stage_tw_;          // per-stage twiddles, forward
+  kernels::AlignedVec<T> stage_tw_inv_;      // conjugate table
 };
 
 /// One-shot convenience transforms (shared cached plan).

@@ -1,5 +1,6 @@
 #include "dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -12,21 +13,30 @@ namespace ff::dsp {
 // ext = [H context samples | block] and H = h.size() - 1. One axpy per tap,
 // taps ascending — the same serial accumulation order as a per-sample
 // delay-line loop, so block and per-sample filtering agree bit for bit.
-void fir_core(CSpan taps, const Complex* ext, CMutSpan y) {
+template <typename T>
+void fir_core(std::type_identity_t<std::span<const std::complex<T>>> taps,
+              const std::complex<T>* ext,
+              std::type_identity_t<std::span<std::complex<T>>> y) {
   const std::size_t h = taps.size() - 1;
-  std::fill(y.begin(), y.end(), Complex{});
+  std::fill(y.begin(), y.end(), std::complex<T>{});
   for (std::size_t k = 0; k <= h; ++k)
-    kernels::axpy(taps[k], CSpan{ext + (h - k), y.size()}, y);
+    kernels::axpy(taps[k], std::span<const std::complex<T>>{ext + (h - k), y.size()}, y);
 }
 
-FirFilter::FirFilter(CVec taps) : taps_(std::move(taps)), delay_(taps_.size()) {
+template void fir_core<double>(CSpan, const Complex*, CMutSpan);
+template void fir_core<float>(CSpan32, const Complex32*, CMutSpan32);
+
+template <typename T>
+FirFilter<T>::FirFilter(std::vector<std::complex<T>> taps)
+    : taps_(std::move(taps)), delay_(taps_.size()) {
   FF_CHECK_MSG(!taps_.empty(), "FIR filter needs at least one tap");
 }
 
-Complex FirFilter::push(Complex x) {
+template <typename T>
+auto FirFilter<T>::push(Sample x) -> Sample {
   head_ = (head_ + delay_.size() - 1) % delay_.size();
   delay_[head_] = x;
-  Complex acc{0.0, 0.0};
+  Sample acc{};
   std::size_t idx = head_;
   for (std::size_t k = 0; k < taps_.size(); ++k) {
     acc += taps_[k] * delay_[idx];
@@ -36,15 +46,20 @@ Complex FirFilter::push(Complex x) {
   return acc;
 }
 
-CVec FirFilter::process(CSpan x) {
-  CVec out(x.size());
+template <typename T>
+auto FirFilter<T>::process(Span x) -> Vec {
+  Vec out(x.size());
   process_into(x, out);
   return out;
 }
 
-void FirFilter::process_into(CSpan x, CMutSpan out) { process_into(x, out, ws_); }
+template <typename T>
+void FirFilter<T>::process_into(Span x, MutSpan out) {
+  process_into(x, out, ws_);
+}
 
-void FirFilter::process_into(CSpan x, CMutSpan out, kernels::Workspace& ws) {
+template <typename T>
+void FirFilter<T>::process_into(Span x, MutSpan out, kernels::Workspace& ws) {
   FF_CHECK_MSG(out.size() == x.size(),
                "FirFilter::process_into needs out.size() == x.size(), got "
                    << out.size() << " vs " << x.size());
@@ -52,33 +67,35 @@ void FirFilter::process_into(CSpan x, CMutSpan out, kernels::Workspace& ws) {
   if (n == 0) return;
   const std::size_t taps = taps_.size();
   const std::size_t hist = taps - 1;
-  CMutSpan ext = ws.get(0, hist + n);
+  MutSpan ext = ws.get<T>(0, hist + n);
   // Delay-line slot (head_ + k) % taps holds x[-1 - k]; lay the history out
   // chronologically so ext[hist - 1] is the sample right before x[0]. The
   // block is staged before any output is written (out may alias x).
   for (std::size_t k = 0; k < hist; ++k)
     ext[hist - 1 - k] = delay_[(head_ + k) % taps];
   std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
-  fir_core(taps_, ext.data(), out);
+  fir_core<T>(taps_, ext.data(), out);
   // Refill the delay line with the newest `taps` inputs (history included
   // when the block is shorter than the filter).
   for (std::size_t k = 0; k < taps; ++k) delay_[k] = ext[hist + n - 1 - k];
   head_ = 0;
 }
 
-void FirFilter::reset() {
-  std::fill(delay_.begin(), delay_.end(), Complex{});
+template <typename T>
+void FirFilter<T>::reset() {
+  std::fill(delay_.begin(), delay_.end(), Sample{});
   head_ = 0;
 }
 
-void FirFilter::set_taps(CVec taps) {
+template <typename T>
+void FirFilter<T>::set_taps(Vec taps) {
   FF_CHECK(!taps.empty());
   if (taps.size() != taps_.size()) {
     // Carry the input history across the resize: slot k of the delay line
     // holds x[n-k], so copy newest-first and zero-pad beyond the old depth.
     // (Clearing it instead — the old behavior — restarted every resized
     // filter from a cold delay line mid-stream.)
-    CVec resized(taps.size(), Complex{});
+    Vec resized(taps.size(), Sample{});
     const std::size_t keep = std::min(taps.size(), delay_.size());
     for (std::size_t k = 0; k < keep; ++k)
       resized[k] = delay_[(head_ + k) % delay_.size()];
@@ -88,66 +105,8 @@ void FirFilter::set_taps(CVec taps) {
   taps_ = std::move(taps);
 }
 
-// ------------------------------------------------------------ float32 family
-
-void fir_core32(CSpan32 taps, const Complex32* ext, CMutSpan32 y) {
-  const std::size_t h = taps.size() - 1;
-  std::fill(y.begin(), y.end(), Complex32{});
-  for (std::size_t k = 0; k <= h; ++k)
-    kernels::axpy(taps[k], CSpan32{ext + (h - k), y.size()}, y);
-}
-
-FirFilter32::FirFilter32(CVec32 taps) : taps_(std::move(taps)), delay_(taps_.size()) {
-  FF_CHECK_MSG(!taps_.empty(), "FIR filter needs at least one tap");
-}
-
-Complex32 FirFilter32::push(Complex32 x) {
-  head_ = (head_ + delay_.size() - 1) % delay_.size();
-  delay_[head_] = x;
-  Complex32 acc{0.0f, 0.0f};
-  std::size_t idx = head_;
-  for (std::size_t k = 0; k < taps_.size(); ++k) {
-    acc += taps_[k] * delay_[idx];
-    ++idx;
-    if (idx == delay_.size()) idx = 0;
-  }
-  return acc;
-}
-
-void FirFilter32::process_into(CSpan32 x, CMutSpan32 out, kernels::Workspace& ws) {
-  FF_CHECK_MSG(out.size() == x.size(),
-               "FirFilter32::process_into needs out.size() == x.size(), got "
-                   << out.size() << " vs " << x.size());
-  const std::size_t n = x.size();
-  if (n == 0) return;
-  const std::size_t taps = taps_.size();
-  const std::size_t hist = taps - 1;
-  CMutSpan32 ext = ws.get_f32(0, hist + n);
-  for (std::size_t k = 0; k < hist; ++k)
-    ext[hist - 1 - k] = delay_[(head_ + k) % taps];
-  std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
-  fir_core32(taps_, ext.data(), out);
-  for (std::size_t k = 0; k < taps; ++k) delay_[k] = ext[hist + n - 1 - k];
-  head_ = 0;
-}
-
-void FirFilter32::reset() {
-  std::fill(delay_.begin(), delay_.end(), Complex32{});
-  head_ = 0;
-}
-
-void FirFilter32::set_taps(CVec32 taps) {
-  FF_CHECK(!taps.empty());
-  if (taps.size() != taps_.size()) {
-    CVec32 resized(taps.size(), Complex32{});
-    const std::size_t keep = std::min(taps.size(), delay_.size());
-    for (std::size_t k = 0; k < keep; ++k)
-      resized[k] = delay_[(head_ + k) % delay_.size()];
-    delay_ = std::move(resized);
-    head_ = 0;
-  }
-  taps_ = std::move(taps);
-}
+template class FirFilter<double>;
+template class FirFilter<float>;
 
 CVec convolve(CSpan x, CSpan h) {
   if (x.empty() || h.empty()) return {};

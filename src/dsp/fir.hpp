@@ -3,26 +3,42 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <type_traits>
+#include <vector>
 
 #include "common/types.hpp"
 #include "dsp/kernels/workspace.hpp"
 
 namespace ff::dsp {
 
-/// Streaming causal FIR filter.
+/// Streaming causal FIR filter on samples of precision T (double, or float
+/// for the mixed-precision fast paths — docs/PERFORMANCE.md, "The float32
+/// family"). Both precisions run the one body below: same accumulation
+/// order, same history semantics. Design helpers (design_lowpass, taps from
+/// a channel model) stay double; convert taps once with
+/// kernels::to_precision at configure time.
 ///
 /// y[n] = sum_k h[k] x[n-k].  The filter owns a circular delay line; each
 /// push() consumes one input sample and produces one output sample with zero
 /// look-ahead, matching hardware tap-line semantics.
+template <typename T = double>
 class FirFilter {
  public:
-  explicit FirFilter(CVec taps);
+  using Sample = std::complex<T>;
+  using Vec = std::vector<Sample>;
+  using Span = std::span<const Sample>;
+  using MutSpan = std::span<Sample>;
+
+  // Spelled out rather than Vec so class template argument deduction sees
+  // T: `FirFilter fir(taps)` deduces the precision from the taps.
+  explicit FirFilter(std::vector<std::complex<T>> taps);
 
   /// Feed one input sample, get the filter output at this instant.
-  Complex push(Complex x);
+  Sample push(Sample x);
 
   /// Filter a whole block (stateful: continues from previous pushes).
-  CVec process(CSpan x);
+  Vec process(Span x);
 
   /// Filter a whole block into a caller-owned buffer (stateful). `out` must
   /// be exactly x.size() samples and may alias `x` (in-place filtering): the
@@ -34,12 +50,12 @@ class FirFilter {
   /// buffer, taps ascending — the exact accumulation order of push(), so a
   /// block-filtered stream is bit-identical to a sample-at-a-time one at any
   /// block size.
-  void process_into(CSpan x, CMutSpan out);
+  void process_into(Span x, MutSpan out);
 
-  /// Same, with scratch drawn from a caller-owned Workspace (slot 0) —
+  /// Same, with scratch drawn from a caller-owned Workspace (T slot 0) —
   /// lets an owning pipeline/element share one arena across stages instead
   /// of each filter holding its own.
-  void process_into(CSpan x, CMutSpan out, kernels::Workspace& ws);
+  void process_into(Span x, MutSpan out, kernels::Workspace& ws);
 
   /// Reset the delay line to zeros (taps are kept).
   void reset();
@@ -49,14 +65,14 @@ class FirFilter {
   /// changes, the most recent min(old, new) samples carry over into the
   /// resized delay line (older history is zero-padded), so a retune in the
   /// middle of a stream never re-introduces a cold-start transient.
-  void set_taps(CVec taps);
+  void set_taps(Vec taps);
 
-  const CVec& taps() const { return taps_; }
+  const Vec& taps() const { return taps_; }
   std::size_t order() const { return taps_.size(); }
 
  private:
-  CVec taps_;
-  CVec delay_;        // circular buffer of past inputs
+  Vec taps_;
+  Vec delay_;             // circular buffer of past inputs
   std::size_t head_ = 0;  // index of the most recent sample
   kernels::Workspace ws_;  // scratch for the two-argument process_into
 };
@@ -84,46 +100,11 @@ void filter_into(CSpan h, CSpan x, CMutSpan y, kernels::Workspace& ws);
 /// filter history, zeros, or future samples for an anti-causal filter. One
 /// kernels::axpy per tap, taps ascending, so every caller inherits the same
 /// accumulation order (and therefore bit-identical results for identical
-/// `ext` contents).
-void fir_core(CSpan h, const Complex* ext, CMutSpan y);
-
-// ------------------------------------------------------------ float32 family
-// Twins of the FIR hot paths for the mixed-precision relay stream path
-// (docs/PERFORMANCE.md, "The float32 family"). Same accumulation order as
-// the double versions — one f32 kernels::axpy per tap, taps ascending — so
-// f32 block filtering is block-size invariant for the same reason the f64
-// path is. Design helpers (design_lowpass, taps from a channel model) stay
-// double; narrow the taps once with kernels::narrowed at configure time.
-
-/// Float32 fir_core: y[i] = sum_k h[k] * ext[(h.size()-1) + i - k].
-void fir_core32(CSpan32 h, const Complex32* ext, CMutSpan32 y);
-
-/// Streaming causal FIR filter on float32 samples — FirFilter restated with
-/// an f32 delay line and taps. State layout and semantics (history carry-over
-/// on set_taps, the allocation-free process_into path) mirror FirFilter.
-class FirFilter32 {
- public:
-  explicit FirFilter32(CVec32 taps);
-
-  Complex32 push(Complex32 x);
-
-  /// Block path: `out` must be exactly x.size() samples and may alias `x`.
-  /// Scratch comes from the Workspace's f32 slot 0.
-  void process_into(CSpan32 x, CMutSpan32 out, kernels::Workspace& ws);
-
-  void reset();
-
-  /// History-preserving live retune (see FirFilter::set_taps).
-  void set_taps(CVec32 taps);
-
-  const CVec32& taps() const { return taps_; }
-  std::size_t order() const { return taps_.size(); }
-
- private:
-  CVec32 taps_;
-  CVec32 delay_;
-  std::size_t head_ = 0;
-};
+/// `ext` contents). T is deduced from `ext`.
+template <typename T>
+void fir_core(std::type_identity_t<std::span<const std::complex<T>>> h,
+              const std::complex<T>* ext,
+              std::type_identity_t<std::span<std::complex<T>>> y);
 
 /// Frequency response of a sample-spaced FIR at normalized frequency
 /// `f_norm` in cycles/sample (i.e. H(e^{j 2 pi f_norm})).

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "dsp/kernels/kernels_detail.hpp"
@@ -12,123 +13,150 @@ namespace detail {
 
 // ----------------------------------------------------------- scalar cores
 // This TU is compiled -ffp-contract=off: the mul/add sequences below must
-// not be fused into FMA, or scalar and SIMD results would diverge.
+// not be fused into FMA, or scalar and SIMD results would diverge. Each core
+// is one template over T in {double, float}, explicitly instantiated below:
+// at T = float every operation is a single-precision IEEE multiply/add (no
+// double-precision intermediates), so the f32 SIMD lanes reproduce them bit
+// for bit.
 
-void cmul_scalar(const Complex* a, const Complex* b, Complex* out, std::size_t n) {
+template <typename T>
+void cmul_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                 std::complex<T>* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = cmul_one(a[i], b[i]);
 }
 
-void cmac_scalar(const Complex* a, const Complex* b, Complex* acc, std::size_t n) {
+template <typename T>
+void cmac_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                 std::complex<T>* acc, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const Complex p = cmul_one(a[i], b[i]);
+    const std::complex<T> p = cmul_one(a[i], b[i]);
     acc[i] = {acc[i].real() + p.real(), acc[i].imag() + p.imag()};
   }
 }
 
-void axpy_scalar(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
-  const double ar = alpha.real(), ai = alpha.imag();
+template <typename T>
+void axpy_scalar(std::complex<T> alpha, const std::complex<T>* x, std::complex<T>* y,
+                 std::size_t n) {
+  const T ar = alpha.real(), ai = alpha.imag();
   for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x[i].real(), xi = x[i].imag();
+    const T xr = x[i].real(), xi = x[i].imag();
     y[i] = {y[i].real() + (xr * ar - xi * ai), y[i].imag() + (xr * ai + xi * ar)};
   }
 }
 
-void scale_scalar(Complex alpha, const Complex* x, Complex* out, std::size_t n) {
-  const double ar = alpha.real(), ai = alpha.imag();
+template <typename T>
+void scale_scalar(std::complex<T> alpha, const std::complex<T>* x,
+                  std::complex<T>* out, std::size_t n) {
+  const T ar = alpha.real(), ai = alpha.imag();
   for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x[i].real(), xi = x[i].imag();
+    const T xr = x[i].real(), xi = x[i].imag();
     out[i] = {xr * ar - xi * ai, xr * ai + xi * ar};
   }
 }
 
-void scale_real_scalar(double alpha, const Complex* x, Complex* out, std::size_t n) {
+template <typename T>
+void scale_real_scalar(T alpha, const std::complex<T>* x, std::complex<T>* out,
+                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     out[i] = {x[i].real() * alpha, x[i].imag() * alpha};
 }
 
-void cdot_conj_tail(const Complex* a, const Complex* b, std::size_t start,
-                    std::size_t n, Complex lanes[4]) {
+template <typename T>
+void cdot_conj_tail(const std::complex<T>* a, const std::complex<T>* b,
+                    std::size_t start, std::size_t n, std::complex<T> lanes[4]) {
   for (std::size_t k = start; k < n; ++k) {
-    const Complex p = cmul_conj_one(a[k], b[k]);
-    Complex& acc = lanes[k % 4];
+    const std::complex<T> p = cmul_conj_one(a[k], b[k]);
+    std::complex<T>& acc = lanes[k % 4];
     acc = {acc.real() + p.real(), acc.imag() + p.imag()};
   }
 }
 
-Complex cdot_conj_scalar(const Complex* a, const Complex* b, std::size_t n) {
-  Complex lanes[4] = {};
+template <typename T>
+std::complex<T> cdot_conj_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                                 std::size_t n) {
+  std::complex<T> lanes[4] = {};
   cdot_conj_tail(a, b, 0, n, lanes);
-  const Complex s01{lanes[0].real() + lanes[1].real(), lanes[0].imag() + lanes[1].imag()};
-  const Complex s23{lanes[2].real() + lanes[3].real(), lanes[2].imag() + lanes[3].imag()};
+  const std::complex<T> s01{lanes[0].real() + lanes[1].real(),
+                            lanes[0].imag() + lanes[1].imag()};
+  const std::complex<T> s23{lanes[2].real() + lanes[3].real(),
+                            lanes[2].imag() + lanes[3].imag()};
   return {s01.real() + s23.real(), s01.imag() + s23.imag()};
 }
 
-void magsq_accum_tail(const Complex* x, std::size_t start, std::size_t n,
-                      double lanes[4]) {
+template <typename T>
+void magsq_accum_tail(const std::complex<T>* x, std::size_t start, std::size_t n,
+                      T lanes[4]) {
   for (std::size_t k = start; k < n; ++k) {
-    const double re = x[k].real(), im = x[k].imag();
+    const T re = x[k].real(), im = x[k].imag();
     lanes[k % 4] += re * re + im * im;
   }
 }
 
-double magsq_accum_scalar(const Complex* x, std::size_t n) {
-  double lanes[4] = {};
+template <typename T>
+T magsq_accum_scalar(const std::complex<T>* x, std::size_t n) {
+  T lanes[4] = {};
   magsq_accum_tail(x, 0, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void split_scalar(const Complex* x, double* re, double* im, std::size_t n) {
+template <typename T>
+void split_scalar(const std::complex<T>* x, T* re, T* im, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     re[i] = x[i].real();
     im[i] = x[i].imag();
   }
 }
 
-void interleave_scalar(const double* re, const double* im, Complex* out, std::size_t n) {
+template <typename T>
+void interleave_scalar(const T* re, const T* im, std::complex<T>* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = {re[i], im[i]};
 }
 
-void radix2_stage_scalar(const Complex* src, Complex* dst, const Complex* tw,
-                         std::size_t half, std::size_t m) {
+template <typename T>
+void radix2_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
+                         const std::complex<T>* tw, std::size_t half, std::size_t m) {
+  using C = std::complex<T>;
   for (std::size_t j = 0; j < half; ++j) {
-    const Complex w = tw[j];
-    const Complex* s0 = src + m * j;
-    const Complex* s1 = src + m * (j + half);
-    Complex* d0 = dst + m * (2 * j);
-    Complex* d1 = d0 + m;
+    const C w = tw[j];
+    const C* s0 = src + m * j;
+    const C* s1 = src + m * (j + half);
+    C* d0 = dst + m * (2 * j);
+    C* d1 = d0 + m;
     for (std::size_t k = 0; k < m; ++k) {
-      const Complex c0 = s0[k];
-      const Complex c1 = s1[k];
+      const C c0 = s0[k];
+      const C c1 = s1[k];
       d0[k] = {c0.real() + c1.real(), c0.imag() + c1.imag()};
       d1[k] = cmul_one(w, {c0.real() - c1.real(), c0.imag() - c1.imag()});
     }
   }
 }
 
-void radix4_stage_scalar(const Complex* src, Complex* dst, const Complex* tw,
-                         std::size_t quarter, std::size_t m, bool invert) {
+template <typename T>
+void radix4_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
+                         const std::complex<T>* tw, std::size_t quarter, std::size_t m,
+                         bool invert) {
+  using C = std::complex<T>;
   for (std::size_t j = 0; j < quarter; ++j) {
-    const Complex w1 = tw[3 * j];
-    const Complex w2 = tw[3 * j + 1];
-    const Complex w3 = tw[3 * j + 2];
-    const Complex* s0 = src + m * j;
-    const Complex* s1 = src + m * (j + quarter);
-    const Complex* s2 = src + m * (j + 2 * quarter);
-    const Complex* s3 = src + m * (j + 3 * quarter);
-    Complex* d0 = dst + m * (4 * j);
-    Complex* d1 = d0 + m;
-    Complex* d2 = d1 + m;
-    Complex* d3 = d2 + m;
+    const C w1 = tw[3 * j];
+    const C w2 = tw[3 * j + 1];
+    const C w3 = tw[3 * j + 2];
+    const C* s0 = src + m * j;
+    const C* s1 = src + m * (j + quarter);
+    const C* s2 = src + m * (j + 2 * quarter);
+    const C* s3 = src + m * (j + 3 * quarter);
+    C* d0 = dst + m * (4 * j);
+    C* d1 = d0 + m;
+    C* d2 = d1 + m;
+    C* d3 = d2 + m;
     for (std::size_t k = 0; k < m; ++k) {
-      const Complex c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
-      const Complex e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex t{c1.real() - c3.real(), c1.imag() - c3.imag()};
+      const C c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
+      const C e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
+      const C e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
+      const C e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
+      const C t{c1.real() - c3.real(), c1.imag() - c3.imag()};
       // e3 = -i*t (forward) or +i*t (inverse): pure component swap + sign
       // flip, exact in IEEE arithmetic.
-      const Complex e3 = invert ? Complex{-t.imag(), t.real()}
-                                : Complex{t.imag(), -t.real()};
+      const C e3 = invert ? C{-t.imag(), t.real()} : C{t.imag(), -t.real()};
       d0[k] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
       d1[k] = cmul_one(w1, {e1.real() + e3.real(), e1.imag() + e3.imag()});
       d2[k] = cmul_one(w2, {e0.real() - e2.real(), e0.imag() - e2.imag()});
@@ -137,150 +165,46 @@ void radix4_stage_scalar(const Complex* src, Complex* dst, const Complex* tw,
   }
 }
 
-// ------------------------------------------------------ float32 scalar cores
-// Same structure as the double cores above; every operation is a
-// single-precision IEEE multiply/add (no double-precision intermediates), so
-// the f32 SIMD lanes reproduce them bit for bit.
-
-void cmul_scalar32(const Complex32* a, const Complex32* b, Complex32* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = cmul_one32(a[i], b[i]);
-}
-
-void cmac_scalar32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex32 p = cmul_one32(a[i], b[i]);
-    acc[i] = {acc[i].real() + p.real(), acc[i].imag() + p.imag()};
-  }
-}
-
-void axpy_scalar32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
-  const float ar = alpha.real(), ai = alpha.imag();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[i].real(), xi = x[i].imag();
-    y[i] = {y[i].real() + (xr * ar - xi * ai), y[i].imag() + (xr * ai + xi * ar)};
-  }
-}
-
-void scale_scalar32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n) {
-  const float ar = alpha.real(), ai = alpha.imag();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[i].real(), xi = x[i].imag();
-    out[i] = {xr * ar - xi * ai, xr * ai + xi * ar};
-  }
-}
-
-void scale_real_scalar32(float alpha, const Complex32* x, Complex32* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = {x[i].real() * alpha, x[i].imag() * alpha};
-}
-
-void cdot_conj_tail32(const Complex32* a, const Complex32* b, std::size_t start,
-                      std::size_t n, Complex32 lanes[4]) {
-  for (std::size_t k = start; k < n; ++k) {
-    const Complex32 p = cmul_conj_one32(a[k], b[k]);
-    Complex32& acc = lanes[k % 4];
-    acc = {acc.real() + p.real(), acc.imag() + p.imag()};
-  }
-}
-
-Complex32 cdot_conj_scalar32(const Complex32* a, const Complex32* b, std::size_t n) {
-  Complex32 lanes[4] = {};
-  cdot_conj_tail32(a, b, 0, n, lanes);
-  const Complex32 s01{lanes[0].real() + lanes[1].real(), lanes[0].imag() + lanes[1].imag()};
-  const Complex32 s23{lanes[2].real() + lanes[3].real(), lanes[2].imag() + lanes[3].imag()};
-  return {s01.real() + s23.real(), s01.imag() + s23.imag()};
-}
-
-void magsq_accum_tail32(const Complex32* x, std::size_t start, std::size_t n,
-                        float lanes[4]) {
-  for (std::size_t k = start; k < n; ++k) {
-    const float re = x[k].real(), im = x[k].imag();
-    lanes[k % 4] += re * re + im * im;
-  }
-}
-
-float magsq_accum_scalar32(const Complex32* x, std::size_t n) {
-  float lanes[4] = {};
-  magsq_accum_tail32(x, 0, n, lanes);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void split_scalar32(const Complex32* x, float* re, float* im, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = x[i].real();
-    im[i] = x[i].imag();
-  }
-}
-
-void interleave_scalar32(const float* re, const float* im, Complex32* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = {re[i], im[i]};
-}
-
-void radix2_stage_scalar32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                           std::size_t half, std::size_t m) {
-  for (std::size_t j = 0; j < half; ++j) {
-    const Complex32 w = tw[j];
-    const Complex32* s0 = src + m * j;
-    const Complex32* s1 = src + m * (j + half);
-    Complex32* d0 = dst + m * (2 * j);
-    Complex32* d1 = d0 + m;
-    for (std::size_t k = 0; k < m; ++k) {
-      const Complex32 c0 = s0[k];
-      const Complex32 c1 = s1[k];
-      d0[k] = {c0.real() + c1.real(), c0.imag() + c1.imag()};
-      d1[k] = cmul_one32(w, {c0.real() - c1.real(), c0.imag() - c1.imag()});
-    }
-  }
-}
-
-void radix4_stage_scalar32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                           std::size_t quarter, std::size_t m, bool invert) {
-  for (std::size_t j = 0; j < quarter; ++j) {
-    const Complex32 w1 = tw[3 * j];
-    const Complex32 w2 = tw[3 * j + 1];
-    const Complex32 w3 = tw[3 * j + 2];
-    const Complex32* s0 = src + m * j;
-    const Complex32* s1 = src + m * (j + quarter);
-    const Complex32* s2 = src + m * (j + 2 * quarter);
-    const Complex32* s3 = src + m * (j + 3 * quarter);
-    Complex32* d0 = dst + m * (4 * j);
-    Complex32* d1 = d0 + m;
-    Complex32* d2 = d1 + m;
-    Complex32* d3 = d2 + m;
-    for (std::size_t k = 0; k < m; ++k) {
-      const Complex32 c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
-      const Complex32 e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex32 e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex32 e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex32 t{c1.real() - c3.real(), c1.imag() - c3.imag()};
-      const Complex32 e3 = invert ? Complex32{-t.imag(), t.real()}
-                                  : Complex32{t.imag(), -t.real()};
-      d0[k] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
-      d1[k] = cmul_one32(w1, {e1.real() + e3.real(), e1.imag() + e3.imag()});
-      d2[k] = cmul_one32(w2, {e0.real() - e2.real(), e0.imag() - e2.imag()});
-      d3[k] = cmul_one32(w3, {e1.real() - e3.real(), e1.imag() - e3.imag()});
-    }
-  }
-}
-
-const KernelOps& scalar_ops() {
-  static const KernelOps ops = {
-      &cmul_scalar,     &cmac_scalar,        &axpy_scalar,
-      &scale_scalar,    &scale_real_scalar,  &cdot_conj_scalar,
-      &magsq_accum_scalar, &split_scalar,    &interleave_scalar,
-      &radix2_stage_scalar, &radix4_stage_scalar,
-      &cmul_scalar32,   &cmac_scalar32,      &axpy_scalar32,
-      &scale_scalar32,  &scale_real_scalar32, &cdot_conj_scalar32,
-      &magsq_accum_scalar32, &split_scalar32, &interleave_scalar32,
-      &radix2_stage_scalar32, &radix4_stage_scalar32,
+template <typename T>
+const KernelOps<T>& scalar_ops() {
+  static const KernelOps<T> ops = {
+      &cmul_scalar<T>,        &cmac_scalar<T>,        &axpy_scalar<T>,
+      &scale_scalar<T>,       &scale_real_scalar<T>,  &cdot_conj_scalar<T>,
+      &magsq_accum_scalar<T>, &split_scalar<T>,       &interleave_scalar<T>,
+      &radix2_stage_scalar<T>, &radix4_stage_scalar<T>,
   };
   return ops;
 }
 
+// The SIMD TUs call the cores for their tails; instantiate every one here.
+#define FF_INSTANTIATE_SCALAR_CORES(T)                                              \
+  using C##T = std::complex<T>;                                                     \
+  template void cmul_scalar(const C##T*, const C##T*, C##T*, std::size_t);         \
+  template void cmac_scalar(const C##T*, const C##T*, C##T*, std::size_t);         \
+  template void axpy_scalar(C##T, const C##T*, C##T*, std::size_t);                \
+  template void scale_scalar(C##T, const C##T*, C##T*, std::size_t);               \
+  template void scale_real_scalar(T, const C##T*, C##T*, std::size_t);             \
+  template C##T cdot_conj_scalar(const C##T*, const C##T*, std::size_t);           \
+  template T magsq_accum_scalar(const C##T*, std::size_t);                         \
+  template void split_scalar(const C##T*, T*, T*, std::size_t);                    \
+  template void interleave_scalar(const T*, const T*, C##T*, std::size_t);         \
+  template void radix2_stage_scalar(const C##T*, C##T*, const C##T*, std::size_t,  \
+                                    std::size_t);                                   \
+  template void radix4_stage_scalar(const C##T*, C##T*, const C##T*, std::size_t,  \
+                                    std::size_t, bool);                             \
+  template void cdot_conj_tail(const C##T*, const C##T*, std::size_t, std::size_t, \
+                               C##T[4]);                                            \
+  template void magsq_accum_tail(const C##T*, std::size_t, std::size_t, T[4]);     \
+  template const KernelOps<T>& scalar_ops<T>();
+FF_INSTANTIATE_SCALAR_CORES(double)
+FF_INSTANTIATE_SCALAR_CORES(float)
+#undef FF_INSTANTIATE_SCALAR_CORES
+
 namespace {
 
 struct Dispatch {
-  const KernelOps* ops;
+  const KernelOps<double>* f64;
+  const KernelOps<float>* f32;
   Isa isa;
 };
 
@@ -305,18 +229,27 @@ Dispatch resolve() {
   switch (want) {
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
     case Isa::kAvx2:
-      return {&avx2_ops(), Isa::kAvx2};
+      return {&avx2_ops<double>(), &avx2_ops<float>(), Isa::kAvx2};
     case Isa::kSse2:
-      return {&sse2_ops(), Isa::kSse2};
+      return {&sse2_ops<double>(), &sse2_ops<float>(), Isa::kSse2};
 #endif
     default:
-      return {&scalar_ops(), Isa::kScalar};
+      return {&scalar_ops<double>(), &scalar_ops<float>(), Isa::kScalar};
   }
 }
 
 const Dispatch& dispatch() {
   static const Dispatch d = resolve();
   return d;
+}
+
+// The dispatched table for precision T.
+template <typename T>
+const KernelOps<T>& ops() {
+  if constexpr (std::is_same_v<T, double>)
+    return *dispatch().f64;
+  else
+    return *dispatch().f32;
 }
 
 }  // namespace
@@ -345,126 +278,139 @@ bool simd_compiled() {
 #endif
 }
 
-// ------------------------------------------------------- dispatched span API
+// ------------------------------------------------------------- span entry points
+// Each entry point is written once, over the sample precision T and the
+// table it runs on: the dispatched overloads below pass detail::ops<T>(),
+// the kernels::scalar reference overloads detail::scalar_ops<T>().
 
-void cmul(CSpan a, CSpan b, CMutSpan out) {
+namespace {
+
+template <typename T>
+using Span = std::span<const std::complex<T>>;
+template <typename T>
+using MutSpan = std::span<std::complex<T>>;
+template <typename T>
+using Ops = detail::KernelOps<T>;
+
+template <typename T>
+void cmul_on(const Ops<T>& ops, Span<T> a, Span<T> b, MutSpan<T> out) {
   FF_CHECK(a.size() == b.size() && a.size() == out.size());
-  detail::dispatch().ops->cmul(a.data(), b.data(), out.data(), a.size());
+  ops.cmul(a.data(), b.data(), out.data(), a.size());
 }
 
-void cmac(CSpan a, CSpan b, CMutSpan acc) {
+template <typename T>
+void cmac_on(const Ops<T>& ops, Span<T> a, Span<T> b, MutSpan<T> acc) {
   FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  detail::dispatch().ops->cmac(a.data(), b.data(), acc.data(), a.size());
+  ops.cmac(a.data(), b.data(), acc.data(), a.size());
 }
 
-void axpy(Complex alpha, CSpan x, CMutSpan y) {
+template <typename T>
+void axpy_on(const Ops<T>& ops, std::complex<T> alpha, Span<T> x, MutSpan<T> y) {
   FF_CHECK(x.size() == y.size());
-  detail::dispatch().ops->axpy(alpha, x.data(), y.data(), x.size());
+  ops.axpy(alpha, x.data(), y.data(), x.size());
 }
 
-void scale(Complex alpha, CSpan x, CMutSpan out) {
+template <typename T>
+void scale_on(const Ops<T>& ops, std::complex<T> alpha, Span<T> x, MutSpan<T> out) {
   FF_CHECK(x.size() == out.size());
-  detail::dispatch().ops->scale(alpha, x.data(), out.data(), x.size());
+  ops.scale(alpha, x.data(), out.data(), x.size());
 }
 
-void scale_real(double alpha, CSpan x, CMutSpan out) {
+template <typename T>
+void scale_real_on(const Ops<T>& ops, T alpha, Span<T> x, MutSpan<T> out) {
   FF_CHECK(x.size() == out.size());
-  detail::dispatch().ops->scale_real(alpha, x.data(), out.data(), x.size());
+  ops.scale_real(alpha, x.data(), out.data(), x.size());
 }
 
-void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
+template <typename T>
+void rotate_phasor_on(const Ops<T>& ops, Span<T> x, Span<T> phasors, MutSpan<T> out) {
   FF_CHECK(x.size() == phasors.size() && x.size() == out.size());
-  detail::dispatch().ops->cmul(x.data(), phasors.data(), out.data(), x.size());
+  ops.cmul(x.data(), phasors.data(), out.data(), x.size());
 }
 
-Complex cdot_conj(CSpan a, CSpan b) {
+template <typename T>
+std::complex<T> cdot_conj_on(const Ops<T>& ops, Span<T> a, Span<T> b) {
   FF_CHECK(a.size() == b.size());
-  return detail::dispatch().ops->cdot_conj(a.data(), b.data(), a.size());
+  return ops.cdot_conj(a.data(), b.data(), a.size());
 }
 
-double magsq_accum(CSpan x) {
-  return detail::dispatch().ops->magsq_accum(x.data(), x.size());
+template <typename T>
+T magsq_accum_on(const Ops<T>& ops, Span<T> x) {
+  return ops.magsq_accum(x.data(), x.size());
 }
 
-void split(CSpan x, std::span<double> re, std::span<double> im) {
+template <typename T>
+void split_on(const Ops<T>& ops, Span<T> x, std::span<T> re, std::span<T> im) {
   FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  detail::dispatch().ops->split(x.data(), re.data(), im.data(), x.size());
+  ops.split(x.data(), re.data(), im.data(), x.size());
 }
 
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
+template <typename T>
+void interleave_on(const Ops<T>& ops, std::span<const T> re, std::span<const T> im,
+                   MutSpan<T> out) {
   FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  detail::dispatch().ops->interleave(re.data(), im.data(), out.data(), out.size());
+  ops.interleave(re.data(), im.data(), out.data(), out.size());
 }
 
+}  // namespace
+
+using detail::ops;
+using detail::scalar_ops;
+
+void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(ops<double>(), a, b, out); }
+void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(ops<double>(), a, b, acc); }
+void axpy(Complex alpha, CSpan x, CMutSpan y) { axpy_on(ops<double>(), alpha, x, y); }
+void scale(Complex alpha, CSpan x, CMutSpan out) { scale_on(ops<double>(), alpha, x, out); }
+void scale_real(double alpha, CSpan x, CMutSpan out) {
+  scale_real_on(ops<double>(), alpha, x, out);
+}
+void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
+  rotate_phasor_on(ops<double>(), x, phasors, out);
+}
+Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(ops<double>(), a, b); }
+double magsq_accum(CSpan x) { return magsq_accum_on(ops<double>(), x); }
+void split(CSpan x, std::span<double> re, std::span<double> im) {
+  split_on(ops<double>(), x, re, im);
+}
+void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
+  interleave_on(ops<double>(), re, im, out);
+}
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m) {
-  detail::dispatch().ops->radix2_stage(src, dst, tw, half, m);
+  ops<double>().radix2_stage(src, dst, tw, half, m);
 }
-
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
-  detail::dispatch().ops->radix4_stage(src, dst, tw, quarter, m, invert);
+  ops<double>().radix4_stage(src, dst, tw, quarter, m, invert);
 }
 
-// --------------------------------------------- dispatched span API (float32)
-
-void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) {
-  FF_CHECK(a.size() == b.size() && a.size() == out.size());
-  detail::dispatch().ops->cmul32(a.data(), b.data(), out.data(), a.size());
-}
-
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) {
-  FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  detail::dispatch().ops->cmac32(a.data(), b.data(), acc.data(), a.size());
-}
-
-void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  FF_CHECK(x.size() == y.size());
-  detail::dispatch().ops->axpy32(alpha, x.data(), y.data(), x.size());
-}
-
+void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(ops<float>(), a, b, out); }
+void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(ops<float>(), a, b, acc); }
+void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) { axpy_on(ops<float>(), alpha, x, y); }
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  FF_CHECK(x.size() == out.size());
-  detail::dispatch().ops->scale32(alpha, x.data(), out.data(), x.size());
+  scale_on(ops<float>(), alpha, x, out);
 }
-
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
-  FF_CHECK(x.size() == out.size());
-  detail::dispatch().ops->scale_real32(alpha, x.data(), out.data(), x.size());
+  scale_real_on(ops<float>(), alpha, x, out);
 }
-
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
-  FF_CHECK(x.size() == phasors.size() && x.size() == out.size());
-  detail::dispatch().ops->cmul32(x.data(), phasors.data(), out.data(), x.size());
+  rotate_phasor_on(ops<float>(), x, phasors, out);
 }
-
-Complex32 cdot_conj(CSpan32 a, CSpan32 b) {
-  FF_CHECK(a.size() == b.size());
-  return detail::dispatch().ops->cdot_conj32(a.data(), b.data(), a.size());
-}
-
-float magsq_accum(CSpan32 x) {
-  return detail::dispatch().ops->magsq_accum32(x.data(), x.size());
-}
-
+Complex32 cdot_conj(CSpan32 a, CSpan32 b) { return cdot_conj_on(ops<float>(), a, b); }
+float magsq_accum(CSpan32 x) { return magsq_accum_on(ops<float>(), x); }
 void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  detail::dispatch().ops->split32(x.data(), re.data(), im.data(), x.size());
+  split_on(ops<float>(), x, re, im);
 }
-
 void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  detail::dispatch().ops->interleave32(re.data(), im.data(), out.data(), out.size());
+  interleave_on(ops<float>(), re, im, out);
 }
-
 void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m) {
-  detail::dispatch().ops->radix2_stage32(src, dst, tw, half, m);
+  ops<float>().radix2_stage(src, dst, tw, half, m);
 }
-
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
-  detail::dispatch().ops->radix4_stage32(src, dst, tw, quarter, m, invert);
+  ops<float>().radix4_stage(src, dst, tw, quarter, m, invert);
 }
 
 // ------------------------------------------------ precision edge conversion
@@ -493,124 +439,70 @@ CVec widened(CSpan32 x) {
   return out;
 }
 
-// ------------------------------------------------------------ scalar wrappers
+// ------------------------------------------------------------ scalar reference
 
 namespace scalar {
 
-void cmul(CSpan a, CSpan b, CMutSpan out) {
-  FF_CHECK(a.size() == b.size() && a.size() == out.size());
-  detail::cmul_scalar(a.data(), b.data(), out.data(), a.size());
-}
-
-void cmac(CSpan a, CSpan b, CMutSpan acc) {
-  FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  detail::cmac_scalar(a.data(), b.data(), acc.data(), a.size());
-}
-
+void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(scalar_ops<double>(), a, b, out); }
+void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(scalar_ops<double>(), a, b, acc); }
 void axpy(Complex alpha, CSpan x, CMutSpan y) {
-  FF_CHECK(x.size() == y.size());
-  detail::axpy_scalar(alpha, x.data(), y.data(), x.size());
+  axpy_on(scalar_ops<double>(), alpha, x, y);
 }
-
 void scale(Complex alpha, CSpan x, CMutSpan out) {
-  FF_CHECK(x.size() == out.size());
-  detail::scale_scalar(alpha, x.data(), out.data(), x.size());
+  scale_on(scalar_ops<double>(), alpha, x, out);
 }
-
 void scale_real(double alpha, CSpan x, CMutSpan out) {
-  FF_CHECK(x.size() == out.size());
-  detail::scale_real_scalar(alpha, x.data(), out.data(), x.size());
+  scale_real_on(scalar_ops<double>(), alpha, x, out);
 }
-
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
-  FF_CHECK(x.size() == phasors.size() && x.size() == out.size());
-  detail::cmul_scalar(x.data(), phasors.data(), out.data(), x.size());
+  rotate_phasor_on(scalar_ops<double>(), x, phasors, out);
 }
-
-Complex cdot_conj(CSpan a, CSpan b) {
-  FF_CHECK(a.size() == b.size());
-  return detail::cdot_conj_scalar(a.data(), b.data(), a.size());
-}
-
-double magsq_accum(CSpan x) { return detail::magsq_accum_scalar(x.data(), x.size()); }
-
+Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(scalar_ops<double>(), a, b); }
+double magsq_accum(CSpan x) { return magsq_accum_on(scalar_ops<double>(), x); }
 void split(CSpan x, std::span<double> re, std::span<double> im) {
-  FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  detail::split_scalar(x.data(), re.data(), im.data(), x.size());
+  split_on(scalar_ops<double>(), x, re, im);
 }
-
 void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
-  FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  detail::interleave_scalar(re.data(), im.data(), out.data(), out.size());
+  interleave_on(scalar_ops<double>(), re, im, out);
 }
-
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m) {
   detail::radix2_stage_scalar(src, dst, tw, half, m);
 }
-
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
   detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
 }
 
-// float32 reference wrappers
-
-void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) {
-  FF_CHECK(a.size() == b.size() && a.size() == out.size());
-  detail::cmul_scalar32(a.data(), b.data(), out.data(), a.size());
-}
-
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) {
-  FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  detail::cmac_scalar32(a.data(), b.data(), acc.data(), a.size());
-}
-
+void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(scalar_ops<float>(), a, b, out); }
+void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(scalar_ops<float>(), a, b, acc); }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  FF_CHECK(x.size() == y.size());
-  detail::axpy_scalar32(alpha, x.data(), y.data(), x.size());
+  axpy_on(scalar_ops<float>(), alpha, x, y);
 }
-
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  FF_CHECK(x.size() == out.size());
-  detail::scale_scalar32(alpha, x.data(), out.data(), x.size());
+  scale_on(scalar_ops<float>(), alpha, x, out);
 }
-
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
-  FF_CHECK(x.size() == out.size());
-  detail::scale_real_scalar32(alpha, x.data(), out.data(), x.size());
+  scale_real_on(scalar_ops<float>(), alpha, x, out);
 }
-
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
-  FF_CHECK(x.size() == phasors.size() && x.size() == out.size());
-  detail::cmul_scalar32(x.data(), phasors.data(), out.data(), x.size());
+  rotate_phasor_on(scalar_ops<float>(), x, phasors, out);
 }
-
-Complex32 cdot_conj(CSpan32 a, CSpan32 b) {
-  FF_CHECK(a.size() == b.size());
-  return detail::cdot_conj_scalar32(a.data(), b.data(), a.size());
-}
-
-float magsq_accum(CSpan32 x) { return detail::magsq_accum_scalar32(x.data(), x.size()); }
-
+Complex32 cdot_conj(CSpan32 a, CSpan32 b) { return cdot_conj_on(scalar_ops<float>(), a, b); }
+float magsq_accum(CSpan32 x) { return magsq_accum_on(scalar_ops<float>(), x); }
 void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  detail::split_scalar32(x.data(), re.data(), im.data(), x.size());
+  split_on(scalar_ops<float>(), x, re, im);
 }
-
 void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  detail::interleave_scalar32(re.data(), im.data(), out.data(), out.size());
+  interleave_on(scalar_ops<float>(), re, im, out);
 }
-
 void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m) {
-  detail::radix2_stage_scalar32(src, dst, tw, half, m);
+  detail::radix2_stage_scalar(src, dst, tw, half, m);
 }
-
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
-  detail::radix4_stage_scalar32(src, dst, tw, quarter, m, invert);
+  detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
 }
 
 }  // namespace scalar

@@ -33,8 +33,10 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 
 #include "common/types.hpp"
+#include "dsp/kernels/workspace.hpp"
 
 namespace ff::dsp::kernels {
 
@@ -107,11 +109,12 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 
 // ------------------------------------------------------------ float32 family
 // Overloads on the CSpan32/CMutSpan32 types (common/types.hpp): the same
-// kernels with float lanes, doubling SIMD width per register. Same bitwise
-// scalar==SIMD contract, same four-lane reduction schedule — but the f32
-// family is its OWN checksum family: f32 results are deterministic across
-// ISAs/blocks/threads yet numerically distinct from the double kernels
-// (docs/PERFORMANCE.md, "The float32 family").
+// kernels with float lanes, doubling SIMD width per register. Both families
+// run one template body per kernel (kernels.cpp), so the bitwise
+// scalar==SIMD contract and the four-lane reduction schedule are the same
+// code — but the f32 family is its OWN checksum family: f32 results are
+// deterministic across ISAs/blocks/threads yet numerically distinct from
+// the double kernels (docs/PERFORMANCE.md, "The float32 family").
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
@@ -139,6 +142,42 @@ void narrow(CSpan x, CMutSpan32 out);
 /// twiddle constants). Hot paths use narrow()/widen() into workspace slots.
 CVec32 narrowed(CSpan x);
 CVec widened(CSpan32 x);
+
+// Precision-generic stage bodies (a template over T in {double, float})
+// keep their configuration in double and their samples at T. These helpers
+// are the only places such a body changes width.
+
+/// Configuration-time values (taps) at precision T: moved through unchanged
+/// for double, narrowed() for float.
+template <typename T>
+std::vector<std::complex<T>> to_precision(CVec x) {
+  if constexpr (std::is_same_v<T, double>)
+    return x;
+  else
+    return narrowed(x);
+}
+
+/// A block at precision T: `x` itself for double; for float, `x` narrowed
+/// into the Workspace's f32 slot `slot`. Constness follows `x`.
+template <typename T, typename Sample>
+auto block_at(std::span<Sample> x, Workspace& ws, std::size_t slot) {
+  using Out = std::span<std::conditional_t<std::is_const_v<Sample>,
+                                           const std::complex<T>, std::complex<T>>>;
+  if constexpr (std::is_same_v<T, double>) {
+    return Out{x};
+  } else {
+    CMutSpan32 y = ws.get<float>(slot, x.size());
+    narrow(x, y);
+    return Out{y};
+  }
+}
+
+/// Write a block_at() result back into `out`: widen() for float; nothing
+/// for double, where the block IS `out`.
+template <typename T>
+void store_block(std::span<const std::complex<T>> y, CMutSpan out) {
+  if constexpr (!std::is_same_v<T, double>) widen(y, out);
+}
 
 // ------------------------------------------------------------ scalar reference
 // Always compiled; what the dispatched functions fall back to, and what

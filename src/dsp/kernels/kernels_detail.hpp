@@ -7,127 +7,109 @@
 // contract documented in kernels.hpp (no FMA, fixed association).
 #pragma once
 
+#include <complex>
 #include <cstddef>
 
 #include "common/types.hpp"
 
 namespace ff::dsp::kernels::detail {
 
-// Pointer-level dispatch table. One instance per compiled ISA; resolve() in
-// kernels.cpp picks one at process start.
+// Pointer-level dispatch table for one sample precision T (double or float:
+// an AVX2 register holds 2 complex<double> or 4 complex<float>). One
+// instance per compiled ISA and precision; resolve() in kernels.cpp picks a
+// pair at process start.
+template <typename T>
 struct KernelOps {
-  void (*cmul)(const Complex*, const Complex*, Complex*, std::size_t);
-  void (*cmac)(const Complex*, const Complex*, Complex*, std::size_t);
-  void (*axpy)(Complex, const Complex*, Complex*, std::size_t);
-  void (*scale)(Complex, const Complex*, Complex*, std::size_t);
-  void (*scale_real)(double, const Complex*, Complex*, std::size_t);
-  Complex (*cdot_conj)(const Complex*, const Complex*, std::size_t);
-  double (*magsq_accum)(const Complex*, std::size_t);
-  void (*split)(const Complex*, double*, double*, std::size_t);
-  void (*interleave)(const double*, const double*, Complex*, std::size_t);
-  void (*radix2_stage)(const Complex*, Complex*, const Complex*, std::size_t,
-                       std::size_t);
-  void (*radix4_stage)(const Complex*, Complex*, const Complex*, std::size_t,
-                       std::size_t, bool);
-
-  // Float32 twins (same contract, float lanes — an AVX2 register holds 4
-  // complex<float> instead of 2 complex<double>).
-  void (*cmul32)(const Complex32*, const Complex32*, Complex32*, std::size_t);
-  void (*cmac32)(const Complex32*, const Complex32*, Complex32*, std::size_t);
-  void (*axpy32)(Complex32, const Complex32*, Complex32*, std::size_t);
-  void (*scale32)(Complex32, const Complex32*, Complex32*, std::size_t);
-  void (*scale_real32)(float, const Complex32*, Complex32*, std::size_t);
-  Complex32 (*cdot_conj32)(const Complex32*, const Complex32*, std::size_t);
-  float (*magsq_accum32)(const Complex32*, std::size_t);
-  void (*split32)(const Complex32*, float*, float*, std::size_t);
-  void (*interleave32)(const float*, const float*, Complex32*, std::size_t);
-  void (*radix2_stage32)(const Complex32*, Complex32*, const Complex32*,
-                         std::size_t, std::size_t);
-  void (*radix4_stage32)(const Complex32*, Complex32*, const Complex32*,
-                         std::size_t, std::size_t, bool);
+  using C = std::complex<T>;
+  void (*cmul)(const C*, const C*, C*, std::size_t);
+  void (*cmac)(const C*, const C*, C*, std::size_t);
+  void (*axpy)(C, const C*, C*, std::size_t);
+  void (*scale)(C, const C*, C*, std::size_t);
+  void (*scale_real)(T, const C*, C*, std::size_t);
+  C (*cdot_conj)(const C*, const C*, std::size_t);
+  T (*magsq_accum)(const C*, std::size_t);
+  void (*split)(const C*, T*, T*, std::size_t);
+  void (*interleave)(const T*, const T*, C*, std::size_t);
+  void (*radix2_stage)(const C*, C*, const C*, std::size_t, std::size_t);
+  void (*radix4_stage)(const C*, C*, const C*, std::size_t, std::size_t, bool);
 };
 
-// The textbook complex product, spelled out on raw doubles so no operator
-// overload (which libstdc++ may route through __mulsc3-style scaling on
-// other platforms) can change the arithmetic. re = ar*br - ai*bi,
-// im = ar*bi + ai*br — exactly what the SIMD paths compute.
-inline Complex cmul_one(Complex a, Complex b) {
-  const double ar = a.real(), ai = a.imag();
-  const double br = b.real(), bi = b.imag();
+// The textbook complex product, spelled out on raw components so no
+// operator overload (which libstdc++ may route through __mulsc3-style
+// scaling on other platforms) can change the arithmetic. re = ar*br - ai*bi,
+// im = ar*bi + ai*br — exactly what the SIMD paths compute. At T = float
+// every multiply/add is a single-precision IEEE operation (no
+// double-rounded intermediates), matching the f32 SIMD lanes.
+template <typename T>
+inline std::complex<T> cmul_one(std::complex<T> a, std::complex<T> b) {
+  const T ar = a.real(), ai = a.imag();
+  const T br = b.real(), bi = b.imag();
   return {ar * br - ai * bi, ar * bi + ai * br};
 }
 
 // conj(a) * b: re = ar*br + ai*bi, im = ar*bi - ai*br.
-inline Complex cmul_conj_one(Complex a, Complex b) {
-  const double ar = a.real(), ai = a.imag();
-  const double br = b.real(), bi = b.imag();
-  return {ar * br + ai * bi, ar * bi - ai * br};
-}
-
-// Float32 twins of the one-element products. Spelled out on raw floats for
-// the same reason as above; every multiply/add is a single-precision IEEE
-// operation (no double-rounded intermediates), matching the f32 SIMD lanes.
-inline Complex32 cmul_one32(Complex32 a, Complex32 b) {
-  const float ar = a.real(), ai = a.imag();
-  const float br = b.real(), bi = b.imag();
-  return {ar * br - ai * bi, ar * bi + ai * br};
-}
-
-inline Complex32 cmul_conj_one32(Complex32 a, Complex32 b) {
-  const float ar = a.real(), ai = a.imag();
-  const float br = b.real(), bi = b.imag();
+template <typename T>
+inline std::complex<T> cmul_conj_one(std::complex<T> a, std::complex<T> b) {
+  const T ar = a.real(), ai = a.imag();
+  const T br = b.real(), bi = b.imag();
   return {ar * br + ai * bi, ar * bi - ai * br};
 }
 
 // ----------------------------------------------------------- scalar cores
-// Defined in kernels.cpp; declared here so the SIMD TUs can call them for
-// tails and tiny spans.
+// Defined in kernels.cpp and explicitly instantiated there for double and
+// float (so every caller runs the one copy compiled -ffp-contract=off with
+// baseline flags); declared here so the SIMD TUs can call them for tails
+// and tiny spans.
 
-void cmul_scalar(const Complex* a, const Complex* b, Complex* out, std::size_t n);
-void cmac_scalar(const Complex* a, const Complex* b, Complex* acc, std::size_t n);
-void axpy_scalar(Complex alpha, const Complex* x, Complex* y, std::size_t n);
-void scale_scalar(Complex alpha, const Complex* x, Complex* out, std::size_t n);
-void scale_real_scalar(double alpha, const Complex* x, Complex* out, std::size_t n);
-Complex cdot_conj_scalar(const Complex* a, const Complex* b, std::size_t n);
-double magsq_accum_scalar(const Complex* x, std::size_t n);
-void split_scalar(const Complex* x, double* re, double* im, std::size_t n);
-void interleave_scalar(const double* re, const double* im, Complex* out, std::size_t n);
-void radix2_stage_scalar(const Complex* src, Complex* dst, const Complex* tw,
-                         std::size_t half, std::size_t m);
-void radix4_stage_scalar(const Complex* src, Complex* dst, const Complex* tw,
-                         std::size_t quarter, std::size_t m, bool invert);
-
-// Float32 scalar cores, same layout as above.
-void cmul_scalar32(const Complex32* a, const Complex32* b, Complex32* out, std::size_t n);
-void cmac_scalar32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n);
-void axpy_scalar32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n);
-void scale_scalar32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n);
-void scale_real_scalar32(float alpha, const Complex32* x, Complex32* out, std::size_t n);
-Complex32 cdot_conj_scalar32(const Complex32* a, const Complex32* b, std::size_t n);
-float magsq_accum_scalar32(const Complex32* x, std::size_t n);
-void split_scalar32(const Complex32* x, float* re, float* im, std::size_t n);
-void interleave_scalar32(const float* re, const float* im, Complex32* out, std::size_t n);
-void radix2_stage_scalar32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                           std::size_t half, std::size_t m);
-void radix4_stage_scalar32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                           std::size_t quarter, std::size_t m, bool invert);
+template <typename T>
+void cmul_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                 std::complex<T>* out, std::size_t n);
+template <typename T>
+void cmac_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                 std::complex<T>* acc, std::size_t n);
+template <typename T>
+void axpy_scalar(std::complex<T> alpha, const std::complex<T>* x, std::complex<T>* y,
+                 std::size_t n);
+template <typename T>
+void scale_scalar(std::complex<T> alpha, const std::complex<T>* x,
+                  std::complex<T>* out, std::size_t n);
+template <typename T>
+void scale_real_scalar(T alpha, const std::complex<T>* x, std::complex<T>* out,
+                       std::size_t n);
+template <typename T>
+std::complex<T> cdot_conj_scalar(const std::complex<T>* a, const std::complex<T>* b,
+                                 std::size_t n);
+template <typename T>
+T magsq_accum_scalar(const std::complex<T>* x, std::size_t n);
+template <typename T>
+void split_scalar(const std::complex<T>* x, T* re, T* im, std::size_t n);
+template <typename T>
+void interleave_scalar(const T* re, const T* im, std::complex<T>* out, std::size_t n);
+template <typename T>
+void radix2_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
+                         const std::complex<T>* tw, std::size_t half, std::size_t m);
+template <typename T>
+void radix4_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
+                         const std::complex<T>* tw, std::size_t quarter, std::size_t m,
+                         bool invert);
 
 // Tail helpers that continue a reduction started by a SIMD loop: terms keep
 // their round-robin lane assignment (term k -> lane k mod 4) so the final
 // (p0 + p1) + (p2 + p3) combine matches the scalar reference bit for bit.
-void cdot_conj_tail(const Complex* a, const Complex* b, std::size_t start,
-                    std::size_t n, Complex lanes[4]);
-void magsq_accum_tail(const Complex* x, std::size_t start, std::size_t n,
-                      double lanes[4]);
-void cdot_conj_tail32(const Complex32* a, const Complex32* b, std::size_t start,
-                      std::size_t n, Complex32 lanes[4]);
-void magsq_accum_tail32(const Complex32* x, std::size_t start, std::size_t n,
-                        float lanes[4]);
+template <typename T>
+void cdot_conj_tail(const std::complex<T>* a, const std::complex<T>* b,
+                    std::size_t start, std::size_t n, std::complex<T> lanes[4]);
+template <typename T>
+void magsq_accum_tail(const std::complex<T>* x, std::size_t start, std::size_t n,
+                      T lanes[4]);
 
-const KernelOps& scalar_ops();
+template <typename T>
+const KernelOps<T>& scalar_ops();
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
-const KernelOps& sse2_ops();
-const KernelOps& avx2_ops();
+template <typename T>
+const KernelOps<T>& sse2_ops();
+template <typename T>
+const KernelOps<T>& avx2_ops();
 #endif
 
 }  // namespace ff::dsp::kernels::detail

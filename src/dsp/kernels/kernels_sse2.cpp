@@ -242,7 +242,7 @@ inline __m128 cmul_conj2f(__m128 a, __m128 b) {
 void cmul_sse2_32(const Complex32* a, const Complex32* b, Complex32* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) storec2f(out + i, cmul2f(loadc2f(a + i), loadc2f(b + i)));
-  cmul_scalar32(a + i, b + i, out + i, n - i);
+  cmul_scalar(a + i, b + i, out + i, n - i);
 }
 
 void cmac_sse2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n) {
@@ -251,7 +251,7 @@ void cmac_sse2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::s
     const __m128 p = cmul2f(loadc2f(a + i), loadc2f(b + i));
     storec2f(acc + i, _mm_add_ps(loadc2f(acc + i), p));
   }
-  cmac_scalar32(a + i, b + i, acc + i, n - i);
+  cmac_scalar(a + i, b + i, acc + i, n - i);
 }
 
 void axpy_sse2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
@@ -261,21 +261,21 @@ void axpy_sse2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
     const __m128 p = cmul2f(loadc2f(x + i), av);
     storec2f(y + i, _mm_add_ps(loadc2f(y + i), p));
   }
-  axpy_scalar32(alpha, x + i, y + i, n - i);
+  axpy_scalar(alpha, x + i, y + i, n - i);
 }
 
 void scale_sse2_32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n) {
   const __m128 av = bcastc1f(alpha);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) storec2f(out + i, cmul2f(loadc2f(x + i), av));
-  scale_scalar32(alpha, x + i, out + i, n - i);
+  scale_scalar(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_sse2_32(float alpha, const Complex32* x, Complex32* out, std::size_t n) {
   const __m128 av = _mm_set1_ps(alpha);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) storec2f(out + i, _mm_mul_ps(loadc2f(x + i), av));
-  scale_real_scalar32(alpha, x + i, out + i, n - i);
+  scale_real_scalar(alpha, x + i, out + i, n - i);
 }
 
 Complex32 cdot_conj_sse2_32(const Complex32* a, const Complex32* b, std::size_t n) {
@@ -290,7 +290,7 @@ Complex32 cdot_conj_sse2_32(const Complex32* a, const Complex32* b, std::size_t 
   Complex32 lanes[4];
   storec2f(&lanes[0], v01);
   storec2f(&lanes[2], v23);
-  cdot_conj_tail32(a, b, n4, n, lanes);
+  cdot_conj_tail(a, b, n4, n, lanes);
   const float re = (lanes[0].real() + lanes[1].real()) + (lanes[2].real() + lanes[3].real());
   const float im = (lanes[0].imag() + lanes[1].imag()) + (lanes[2].imag() + lanes[3].imag());
   return {re, im};
@@ -313,7 +313,7 @@ float magsq_accum_sse2_32(const Complex32* x, std::size_t n) {
   }
   float lanes[4];
   _mm_storeu_ps(lanes, vacc);
-  magsq_accum_tail32(x, n4, n, lanes);
+  magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
@@ -325,7 +325,7 @@ void split_sse2_32(const Complex32* x, float* re, float* im, std::size_t n) {
     _mm_storeu_ps(re + i, _mm_shuffle_ps(v01, v23, _MM_SHUFFLE(2, 0, 2, 0)));
     _mm_storeu_ps(im + i, _mm_shuffle_ps(v01, v23, _MM_SHUFFLE(3, 1, 3, 1)));
   }
-  split_scalar32(x + i, re + i, im + i, n - i);
+  split_scalar(x + i, re + i, im + i, n - i);
 }
 
 void interleave_sse2_32(const float* re, const float* im, Complex32* out, std::size_t n) {
@@ -336,96 +336,32 @@ void interleave_sse2_32(const float* re, const float* im, Complex32* out, std::s
     storec2f(out + i, _mm_unpacklo_ps(vr, vi));
     storec2f(out + i + 2, _mm_unpackhi_ps(vr, vi));
   }
-  interleave_scalar32(re + i, im + i, out + i, n - i);
-}
-
-void radix2_stage_sse2_32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                          std::size_t half, std::size_t m) {
-  for (std::size_t j = 0; j < half; ++j) {
-    const Complex32 w = tw[j];
-    const __m128 wv = bcastc1f(w);
-    const Complex32* s0 = src + m * j;
-    const Complex32* s1 = src + m * (j + half);
-    Complex32* d0 = dst + m * (2 * j);
-    Complex32* d1 = d0 + m;
-    std::size_t k = 0;
-    for (; k + 2 <= m; k += 2) {
-      const __m128 c0 = loadc2f(s0 + k);
-      const __m128 c1 = loadc2f(s1 + k);
-      storec2f(d0 + k, _mm_add_ps(c0, c1));
-      storec2f(d1 + k, cmul2f(wv, _mm_sub_ps(c0, c1)));
-    }
-    for (; k < m; ++k) {
-      const Complex32 c0 = s0[k];
-      const Complex32 c1 = s1[k];
-      d0[k] = {c0.real() + c1.real(), c0.imag() + c1.imag()};
-      d1[k] = cmul_one32(w, {c0.real() - c1.real(), c0.imag() - c1.imag()});
-    }
-  }
-}
-
-void radix4_stage_sse2_32(const Complex32* src, Complex32* dst, const Complex32* tw,
-                          std::size_t quarter, std::size_t m, bool invert) {
-  // +/-i rotation: swap components then flip one sign per complex, exact.
-  const __m128 fwd_mask = _mm_set_ps(-0.0f, 0.0f, -0.0f, 0.0f);
-  const __m128 inv_mask = _mm_set_ps(0.0f, -0.0f, 0.0f, -0.0f);
-  const __m128 rot = invert ? inv_mask : fwd_mask;
-  for (std::size_t j = 0; j < quarter; ++j) {
-    const Complex32 w1 = tw[3 * j];
-    const Complex32 w2 = tw[3 * j + 1];
-    const Complex32 w3 = tw[3 * j + 2];
-    const __m128 w1v = bcastc1f(w1), w2v = bcastc1f(w2), w3v = bcastc1f(w3);
-    const Complex32* s0 = src + m * j;
-    const Complex32* s1 = src + m * (j + quarter);
-    const Complex32* s2 = src + m * (j + 2 * quarter);
-    const Complex32* s3 = src + m * (j + 3 * quarter);
-    Complex32* d0 = dst + m * (4 * j);
-    Complex32* d1 = d0 + m;
-    Complex32* d2 = d1 + m;
-    Complex32* d3 = d2 + m;
-    std::size_t k = 0;
-    for (; k + 2 <= m; k += 2) {
-      const __m128 c0 = loadc2f(s0 + k), c1 = loadc2f(s1 + k);
-      const __m128 c2 = loadc2f(s2 + k), c3 = loadc2f(s3 + k);
-      const __m128 e0 = _mm_add_ps(c0, c2);
-      const __m128 e1 = _mm_sub_ps(c0, c2);
-      const __m128 e2 = _mm_add_ps(c1, c3);
-      const __m128 t = _mm_sub_ps(c1, c3);
-      const __m128 e3 =
-          _mm_xor_ps(_mm_shuffle_ps(t, t, _MM_SHUFFLE(2, 3, 0, 1)), rot);
-      storec2f(d0 + k, _mm_add_ps(e0, e2));
-      storec2f(d1 + k, cmul2f(w1v, _mm_add_ps(e1, e3)));
-      storec2f(d2 + k, cmul2f(w2v, _mm_sub_ps(e0, e2)));
-      storec2f(d3 + k, cmul2f(w3v, _mm_sub_ps(e1, e3)));
-    }
-    for (; k < m; ++k) {
-      const Complex32 c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
-      const Complex32 e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex32 e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex32 e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex32 t{c1.real() - c3.real(), c1.imag() - c3.imag()};
-      const Complex32 e3 = invert ? Complex32{-t.imag(), t.real()}
-                                  : Complex32{t.imag(), -t.real()};
-      d0[k] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
-      d1[k] = cmul_one32(w1, {e1.real() + e3.real(), e1.imag() + e3.imag()});
-      d2[k] = cmul_one32(w2, {e0.real() - e2.real(), e0.imag() - e2.imag()});
-      d3[k] = cmul_one32(w3, {e1.real() - e3.real(), e1.imag() - e3.imag()});
-    }
-  }
+  interleave_scalar(re + i, im + i, out + i, n - i);
 }
 
 }  // namespace
 
-const KernelOps& sse2_ops() {
-  static const KernelOps ops = {
+template <>
+const KernelOps<double>& sse2_ops<double>() {
+  static const KernelOps<double> ops = {
       &cmul_sse2,     &cmac_sse2,        &axpy_sse2,
       &scale_sse2,    &scale_real_sse2,  &cdot_conj_sse2,
       &magsq_accum_sse2, &split_sse2,    &interleave_sse2,
       &radix2_stage_sse2, &radix4_stage_sse2,
+  };
+  return ops;
+}
+
+// The f32 FFT stages run the scalar cores: two complex<float> per __m128
+// plus the shuffles measured ~2x slower than the scalar loop
+// (docs/PERFORMANCE.md, "Kernel ISA tiers").
+template <>
+const KernelOps<float>& sse2_ops<float>() {
+  static const KernelOps<float> ops = {
       &cmul_sse2_32,  &cmac_sse2_32,     &axpy_sse2_32,
       &scale_sse2_32, &scale_real_sse2_32, &cdot_conj_sse2_32,
       &magsq_accum_sse2_32, &split_sse2_32, &interleave_sse2_32,
-      &radix2_stage_sse2_32, &radix4_stage_sse2_32,
+      &radix2_stage_scalar<float>, &radix4_stage_scalar<float>,
   };
   return ops;
 }

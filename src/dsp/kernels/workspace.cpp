@@ -2,52 +2,42 @@
 
 namespace ff::dsp::kernels {
 
-CMutSpan Workspace::get(std::size_t slot, std::size_t n) {
-  if (slot >= slots_.size()) {
-    slots_.resize(slot + 1);
-    ++grows_;
+template <typename T>
+std::span<std::complex<T>> Workspace::get(std::size_t slot, std::size_t n) {
+  Pool<T>& p = pool<T>();
+  if (slot >= p.slots.size()) {
+    p.slots.resize(slot + 1);
+    ++p.grows;
   }
-  AlignedCVec& buf = slots_[slot];
+  AlignedVec<T>& buf = p.slots[slot];
   if (buf.size() < n) {
     // Slot growth invalidates previous spans of THIS slot only: the
-    // AlignedCVec objects may move when slots_ reallocates, but their heap
-    // storage (what the spans point at) does not.
+    // AlignedVec objects may move when the slot vector reallocates, but
+    // their heap storage (what the spans point at) does not.
     buf.resize(n);
-    ++grows_;
+    ++p.grows;
   }
-  return CMutSpan{buf.data(), n};
+  return {buf.data(), n};
 }
 
-CMutSpan32 Workspace::get_f32(std::size_t slot, std::size_t n) {
-  if (slot >= slots_f32_.size()) {
-    slots_f32_.resize(slot + 1);
-    ++grows_f32_;
-  }
-  AlignedCVec32& buf = slots_f32_[slot];
-  if (buf.size() < n) {
-    buf.resize(n);
-    ++grows_f32_;
-  }
-  return CMutSpan32{buf.data(), n};
-}
-
+template <typename T>
 std::size_t Workspace::bytes() const {
-  std::size_t total = bytes_f32();
-  for (const auto& s : slots_) total += s.capacity() * sizeof(Complex);
-  return total;
-}
-
-std::size_t Workspace::bytes_f32() const {
   std::size_t total = 0;
-  for (const auto& s : slots_f32_) total += s.capacity() * sizeof(Complex32);
+  for (const auto& s : pool<T>().slots) total += s.capacity() * sizeof(std::complex<T>);
   return total;
 }
 
 void Workspace::release() {
-  slots_.clear();
-  slots_.shrink_to_fit();
-  slots_f32_.clear();
-  slots_f32_.shrink_to_fit();
+  std::apply(
+      [](auto&... pools) {
+        ((pools.slots.clear(), pools.slots.shrink_to_fit()), ...);
+      },
+      pools_);
 }
+
+template std::span<std::complex<double>> Workspace::get<double>(std::size_t, std::size_t);
+template std::span<std::complex<float>> Workspace::get<float>(std::size_t, std::size_t);
+template std::size_t Workspace::bytes<double>() const;
+template std::size_t Workspace::bytes<float>() const;
 
 }  // namespace ff::dsp::kernels

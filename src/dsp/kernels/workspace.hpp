@@ -5,7 +5,7 @@
 // those into grow-only slots that reach steady-state size after the first
 // few blocks and never touch the heap again. ForwardPipeline and the stream
 // elements own one Workspace each and thread it through their stage calls;
-// `grows()`/`bytes()` back the `ff.alloc.*` telemetry that proves the
+// `grows<T>()`/`bytes()` back the `ff.alloc.*` telemetry that proves the
 // steady state is allocation-free (tests/kernels_test.cpp additionally
 // asserts it with an operator-new hook).
 //
@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/types.hpp"
@@ -55,43 +57,57 @@ struct AlignedAllocator {
   }
 };
 
-/// 64-byte-aligned complex vector: twiddle tables, FFT scratch, workspaces.
-using AlignedCVec = std::vector<Complex, AlignedAllocator<Complex>>;
-
-/// Float32 twin, for the f32 kernel family's tables and scratch.
-using AlignedCVec32 = std::vector<Complex32, AlignedAllocator<Complex32>>;
+/// 64-byte-aligned complex vector at sample precision T: twiddle tables,
+/// FFT scratch, workspaces.
+template <typename T>
+using AlignedVec = std::vector<std::complex<T>, AlignedAllocator<std::complex<T>>>;
+using AlignedCVec = AlignedVec<double>;
+using AlignedCVec32 = AlignedVec<float>;
 
 class Workspace {
  public:
-  /// Aligned scratch span of `n` complexes for `slot`; contents are
+  /// Aligned scratch span of `n` complex<T> for `slot`; contents are
   /// unspecified (callers overwrite). Grows the slot if needed — steady
-  /// state performs no allocation.
-  CMutSpan get(std::size_t slot, std::size_t n);
+  /// state performs no allocation. Each precision has its own slot
+  /// namespace (f32 slot 0 and f64 slot 0 are distinct buffers), so
+  /// mixed-precision stages can hold spans of both without aliasing.
+  template <typename T = double>
+  std::span<std::complex<T>> get(std::size_t slot, std::size_t n);
 
-  /// Float32 twin of get(): a separate slot namespace (f32 slot 0 and f64
-  /// slot 0 are distinct buffers), so mixed-precision stages can hold spans
-  /// of both without aliasing. Growth is tracked separately — the
-  /// `ff.alloc.workspace_f32_*` telemetry.
-  CMutSpan32 get_f32(std::size_t slot, std::size_t n);
+  /// Number of allocations performed so far by the T slots (slot growth
+  /// events) — the `ff.alloc.workspace_grows` / `workspace_f32_grows`
+  /// telemetry.
+  template <typename T = double>
+  std::uint64_t grows() const {
+    return pool<T>().grows;
+  }
 
-  /// Number of allocations performed so far (slot growth events).
-  std::uint64_t grows() const { return grows_; }
-  /// Growth events of the float32 slots alone.
-  std::uint64_t grows_f32() const { return grows_f32_; }
-
-  /// Total bytes currently held across slots (both precisions).
+  /// Bytes currently held by the T slots.
+  template <typename T>
   std::size_t bytes() const;
-  /// Bytes held by the float32 slots alone.
-  std::size_t bytes_f32() const;
+  /// Total bytes currently held across slots (both precisions).
+  std::size_t bytes() const { return bytes<double>() + bytes<float>(); }
 
   /// Drop all slots (allocation counters are preserved).
   void release();
 
  private:
-  std::vector<AlignedCVec> slots_;
-  std::vector<AlignedCVec32> slots_f32_;
-  std::uint64_t grows_ = 0;
-  std::uint64_t grows_f32_ = 0;
+  template <typename T>
+  struct Pool {
+    std::vector<AlignedVec<T>> slots;
+    std::uint64_t grows = 0;
+  };
+
+  template <typename T>
+  Pool<T>& pool() {
+    return std::get<Pool<T>>(pools_);
+  }
+  template <typename T>
+  const Pool<T>& pool() const {
+    return std::get<Pool<T>>(pools_);
+  }
+
+  std::tuple<Pool<double>, Pool<float>> pools_;
 };
 
 }  // namespace ff::dsp::kernels

@@ -22,7 +22,7 @@ std::vector<double> welch_psd(CSpan x, const WelchConfig& cfg) {
     window_power += window[i] * window[i];
   }
 
-  const dsp::FftPlan& plan = dsp::FftPlan::cached(cfg.segment);
+  const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(cfg.segment);
   const std::size_t hop = cfg.segment - cfg.overlap;
   std::vector<double> psd(cfg.segment, 0.0);
   std::size_t segments = 0;

@@ -13,7 +13,7 @@ CVec stf_channel_imprint(CSpan stf_rx, const phy::OfdmParams& params) {
   FF_CHECK_MSG(stf_rx.size() >= 2 * n, "need at least two 64-sample STF blocks");
 
   // Average two 64-sample blocks (8 STF words) and read the occupied bins.
-  const dsp::FftPlan& plan = dsp::FftPlan::cached(n);
+  const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(n);
   const CVec ref = phy::stf_used_values(params);
   const auto used = params.used_subcarriers();
 

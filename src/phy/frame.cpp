@@ -300,7 +300,7 @@ std::optional<RxResult> Receiver::receive_at(CSpan samples, std::size_t start) c
   const auto used = params_.used_subcarriers();
   double noise_var = 0.0;
   {
-    const dsp::FftPlan& plan = dsp::FftPlan::cached(params_.fft_size);
+    const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(params_.fft_size);
     CVec w1(ltf_again.begin(), ltf_again.begin() + static_cast<long>(params_.fft_size));
     CVec w2(ltf_again.begin() + static_cast<long>(params_.fft_size), ltf_again.end());
     plan.forward(w1);

@@ -198,7 +198,7 @@ std::optional<MimoRxResult> MimoReceiver::receive(const std::vector<CVec>& rx) c
   const auto used = params_.used_subcarriers();
   double noise_var = 0.0;
   {
-    const dsp::FftPlan& plan = dsp::FftPlan::cached(params_.fft_size);
+    const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(params_.fft_size);
     const double norm = 1.0 / std::sqrt(static_cast<double>(params_.fft_size) *
                                         static_cast<double>(params_.fft_size) /
                                         static_cast<double>(used.size()));

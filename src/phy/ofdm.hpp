@@ -43,7 +43,7 @@ class OfdmModem {
   CVec extract_used(CSpan freq, std::size_t cp_advance) const;
 
   OfdmParams params_;
-  dsp::FftPlan plan_;
+  dsp::FftPlan<> plan_;
   std::vector<int> used_;
 };
 

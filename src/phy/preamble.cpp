@@ -147,7 +147,7 @@ CVec estimate_channel_ltf(CSpan rx, const OfdmParams& params) {
   FF_CHECK(rx.size() >= 2 * n);
   const auto used = params.used_subcarriers();
   const CVec ref = ltf_used_values(params);
-  const dsp::FftPlan& plan = dsp::FftPlan::cached(n);
+  const dsp::FftPlan<>& plan = dsp::FftPlan<>::cached(n);
   const double norm = 1.0 / std::sqrt(static_cast<double>(n) * static_cast<double>(n) /
                                       static_cast<double>(used.size()));
   CVec est(used.size(), Complex{});

@@ -16,6 +16,8 @@
 // own CFO correction still works.
 #pragma once
 
+#include <complex>
+
 #include "channel/cfo.hpp"
 #include "common/types.hpp"
 #include "dsp/fir.hpp"
@@ -82,6 +84,8 @@ class ForwardPipeline {
   /// bulk delay plus the last pre-filter tap.
   double max_delay_s() const;
 
+  /// One sample through the forward path: a 1-sample process_into(), so a
+  /// pushed stream is bit-identical to any blocking of it.
   Complex push(Complex rx);
   CVec process(CSpan rx);
 
@@ -90,11 +94,10 @@ class ForwardPipeline {
   /// allocation-free block path. Metrics accounting matches process().
   ///
   /// Runs stage-wise over the block (scrub, CFO remove, prefilter, CFO
-  /// restore, gain+rotation, TX filter, delay FIFO) with every stage's
-  /// vectorized block op bit-identical to its per-sample push() — the
-  /// stages are causal, so stage-wise and sample-interleaved orders produce
-  /// the same bits. Scratch comes from the pipeline-owned Workspace; after
-  /// warmup no heap allocation happens here (`ff.alloc.*` telemetry and
+  /// restore, gain+rotation, TX filter, delay FIFO). Every stage is causal,
+  /// so the output is invariant to how the stream is cut into blocks.
+  /// Scratch comes from the pipeline-owned Workspace; after warmup no heap
+  /// allocation happens here (`ff.alloc.*` telemetry and
   /// tests/kernels_test.cpp hold that).
   void process_into(CSpan rx, CMutSpan out);
 
@@ -114,28 +117,33 @@ class ForwardPipeline {
   void reset();
 
  private:
-  std::size_t delay_fifo_len() const;
+  // The filter stages at one sample precision T: the only state that
+  // depends on PipelineConfig::precision.
+  template <typename T>
+  struct Stages {
+    dsp::FirFilter<T> prefilter;
+    dsp::FirFilter<T> tx_filter;
+    std::complex<T> gain_rotation;  // gain * analog_rotation, rounded to T
+  };
 
-  void process_into_f32(CSpan rx, CMutSpan out);
+  static AtPrecision<Stages> make_stages(const PipelineConfig& cfg);
+  std::size_t delay_fifo_len() const;
+  void record_construction_gauges();
+  template <typename T>
+  void run_stages(Stages<T>& stages, CMutSpan block);
+  template <typename T>
+  void report_workspace_growth(const char* grows_name, const char* bytes_name,
+                               std::uint64_t& reported);
 
   PipelineConfig cfg_;
   channel::CfoRotator cfo_remove_;
   channel::CfoRotator cfo_restore_;
-  dsp::FirFilter prefilter_;
-  dsp::FirFilter tx_filter_;
-  // Float32 twins of the FIR stages (used only when precision == kF32;
-  // construction is a one-time tap narrow, so both precisions always exist
-  // and precision never changes filter state layout).
-  dsp::FirFilter32 prefilter32_;
-  dsp::FirFilter32 tx_filter32_;
+  AtPrecision<Stages> stages_;
   CVec delay_line_;      // bulk delay FIFO
   std::size_t delay_pos_ = 0;
-  double gain_linear_;
-  Complex gain_rotation_;  // gain_linear_ * analog_rotation, precomputed
-  Complex32 gain_rotation32_;
   std::uint64_t scrubbed_ = 0;
   dsp::kernels::Workspace ws_;  // shared scratch for all block stages
-  std::uint64_t ws_grows_reported_ = 0;  // ff.alloc.* telemetry watermark
+  std::uint64_t ws_grows_reported_ = 0;  // ff.alloc.* telemetry watermarks
   std::uint64_t ws_f32_grows_reported_ = 0;
 };
 

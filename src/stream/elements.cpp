@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -182,17 +183,19 @@ void CfoElement::add_handlers(HandlerRegistry& h) {
 }
 
 void CfoElement::process(Block& block) {
-  if (precision_ == Precision::kF32) {
-    // Convert once at the edges, rotate in f32 (slot 0 is the rotator's
-    // phasor table, slot 1 the sample buffer).
-    CMutSpan samples{block.samples.data(), block.samples.size()};
-    CMutSpan32 s32 = ws_.get_f32(1, samples.size());
-    dsp::kernels::narrow(samples, s32);
-    rot_.process_into(s32, s32, ws_);
-    dsp::kernels::widen(s32, samples);
-  } else {
-    rot_.process_into(block.samples, block.samples);
-  }
+  if (precision_ == Precision::kF32)
+    process_as<float>(block.samples);
+  else
+    process_as<double>(block.samples);
+}
+
+// Rotate at precision T (for float: convert once at the edges; slot 0 is
+// the rotator's phasor table, f32 slot 1 the sample buffer).
+template <typename T>
+void CfoElement::process_as(CMutSpan samples) {
+  const std::span<std::complex<T>> buf = dsp::kernels::block_at<T>(samples, ws_, 1);
+  rot_.process_into(buf, buf, ws_);
+  dsp::kernels::store_block<T>(buf, samples);
 }
 
 PipelineElement::PipelineElement(std::string name)
@@ -264,11 +267,7 @@ void ChannelElement::configure(const Params& p) {
   cfg_ = std::move(cfg);
   drift_ = net::DriftingChannel(cfg_.channel,
                                 cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0);
-  fir_ = dsp::FirFilter(cfg_.channel.empty()
-                            ? CVec{Complex{}}
-                            : cfg_.channel.to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s,
-                                                  cfg_.sinc_half_width));
-  fir32_ = dsp::FirFilter32(dsp::kernels::narrowed(fir_.taps()));
+  fir_ = make_fir();
   noise_rng_ = seeding::named_stream(cfg_.seed, "noise");
   drift_rng_ = seeding::named_stream(cfg_.seed, "drift");
   retunes_ = 0;
@@ -286,24 +285,35 @@ void ChannelElement::add_handlers(HandlerRegistry& h) {
     FF_CHECK_MSG(dt > 0.0, name() << ".retune: dt must be positive seconds");
     FF_CHECK_MSG(cfg_.coherence_time_s > 0.0,
                  name() << ".retune: needs a drifting channel (coherence > 0)");
-    drift_.advance(dt, drift_rng_);
-    CVec taps = drift_.now().to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s,
-                                    cfg_.sinc_half_width);
-    fir32_.set_taps(dsp::kernels::narrowed(taps));
-    fir_.set_taps(std::move(taps));
-    ++retunes_;
+    std::visit([&](auto& fir) { retune(fir, dt); }, fir_);
   });
+}
+
+AtPrecision<dsp::FirFilter> ChannelElement::make_fir() const {
+  CVec taps = cfg_.channel.empty()
+                  ? CVec{Complex{}}
+                  : cfg_.channel.to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s,
+                                        cfg_.sinc_half_width);
+  return at_precision<dsp::FirFilter>(cfg_.precision, [&]<typename T>(T) {
+    return dsp::FirFilter<T>(dsp::kernels::to_precision<T>(std::move(taps)));
+  });
+}
+
+template <typename T>
+void ChannelElement::retune(dsp::FirFilter<T>& fir, double dt) {
+  drift_.advance(dt, drift_rng_);
+  // Drift moves amplitudes, not delays: the FIR length is unchanged and
+  // set_taps keeps the delay-line history (no retune transient).
+  fir.set_taps(dsp::kernels::to_precision<T>(
+      drift_.now().to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s, cfg_.sinc_half_width)));
+  ++retunes_;
 }
 
 ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
     : Transform(std::move(name)),
       cfg_(std::move(cfg)),
       drift_(cfg_.channel, cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0),
-      fir_(cfg_.channel.empty()
-               ? CVec{Complex{}}
-               : cfg_.channel.to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s,
-                                     cfg_.sinc_half_width)),
-      fir32_(dsp::kernels::narrowed(fir_.taps())),
+      fir_(make_fir()),
       noise_rng_(seeding::named_stream(cfg_.seed, "noise")),
       drift_rng_(seeding::named_stream(cfg_.seed, "drift")) {
   FF_CHECK_MSG(cfg_.sample_rate_hz > 0.0, "ChannelElement needs a positive sample rate");
@@ -313,6 +323,11 @@ ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
 }
 
 void ChannelElement::process(Block& block) {
+  std::visit([&](auto& fir) { process_as(fir, block.samples); }, fir_);
+}
+
+template <typename T>
+void ChannelElement::process_as(dsp::FirFilter<T>& fir, CMutSpan samples) {
   // Segment-wise between retune boundaries: retunes still land at exact
   // stream positions (multiples of the interval) and the noise/drift RNG
   // draws are still consumed in sample order — the FIR consumes no
@@ -321,48 +336,34 @@ void ChannelElement::process(Block& block) {
   // segment the taps are fixed, so the block FIR path applies (bit-identical
   // to push() at any block size).
   const std::size_t interval = cfg_.retune_interval_samples;
-  CMutSpan samples{block.samples.data(), block.samples.size()};
   std::size_t done = 0;
   while (done < samples.size()) {
-    if (drifting() && pos_ > 0 && pos_ % interval == 0) {
-      const double dt = static_cast<double>(interval) / cfg_.sample_rate_hz;
-      drift_.advance(dt, drift_rng_);
-      // Drift moves amplitudes, not delays: the FIR length is unchanged and
-      // set_taps keeps the delay-line history (no retune transient). Both
-      // precision twins retune together so a precision switch mid-design
-      // never sees stale taps.
-      CVec taps = drift_.now().to_fir(cfg_.sample_rate_hz, cfg_.delay_ref_s,
-                                      cfg_.sinc_half_width);
-      fir32_.set_taps(dsp::kernels::narrowed(taps));
-      fir_.set_taps(std::move(taps));
-      ++retunes_;
-    }
+    if (drifting() && pos_ > 0 && pos_ % interval == 0)
+      retune(fir, static_cast<double>(interval) / cfg_.sample_rate_hz);
     std::size_t chunk = samples.size() - done;
     if (drifting())
       chunk = std::min<std::size_t>(
           chunk, static_cast<std::size_t>(interval - pos_ % interval));
-    CMutSpan seg = samples.subspan(done, chunk);
-    if (cfg_.precision == Precision::kF32) {
-      // Narrow once, stay f32 through the FIR and the noise add. The noise
-      // comes from Rng::cgaussian32 — the float32 family's own draw
-      // sequence (same named engine stream, float polar method, several
-      // times cheaper than the double draws): a float32 channel pays
-      // float32 prices for its noise, and the f32 checksum family pins the
-      // result. Draws are still consumed per-sample in stream order, so
-      // the f32 stream is invariant to blocking for the same reason kF64 is.
-      CMutSpan32 seg32 = ws_.get_f32(1, chunk);  // f32 slot 0 = FIR scratch
-      dsp::kernels::narrow(seg, seg32);
-      fir32_.process_into(seg32, seg32, ws_);
-      if (cfg_.noise_power > 0.0) {
+    // At float: narrow once, stay f32 through the FIR and the noise add
+    // (f32 slot 0 is FIR scratch), widen once.
+    const CMutSpan seg = samples.subspan(done, chunk);
+    const std::span<std::complex<T>> buf = dsp::kernels::block_at<T>(seg, ws_, 1);
+    fir.process_into(buf, buf, ws_);
+    if (cfg_.noise_power > 0.0) {
+      if constexpr (std::is_same_v<T, double>) {
+        for (auto& s : buf) s += noise_rng_.cgaussian(cfg_.noise_power);
+      } else {
+        // Rng::cgaussian32 is the float32 family's own draw sequence (same
+        // named engine stream, float polar method, several times cheaper
+        // than the double draws): a float32 channel pays float32 prices for
+        // its noise, and the f32 checksum family pins the result. Draws are
+        // still consumed per-sample in stream order, so the f32 stream is
+        // invariant to blocking for the same reason kF64 is.
         const float np = static_cast<float>(cfg_.noise_power);
-        for (auto& s : seg32) s += noise_rng_.cgaussian32(np);
+        for (auto& s : buf) s += noise_rng_.cgaussian32(np);
       }
-      dsp::kernels::widen(seg32, seg);
-    } else {
-      fir_.process_into(seg, seg, ws_);
-      if (cfg_.noise_power > 0.0)
-        for (auto& s : seg) s += noise_rng_.cgaussian(cfg_.noise_power);
     }
+    dsp::kernels::store_block<T>(buf, seg);
     pos_ += chunk;
     done += chunk;
   }
@@ -521,36 +522,51 @@ CancellerElement::CancellerElement(std::string name)
 
 CancellerElement::CancellerElement(std::string name, CVec analog_fir, CVec digital_taps)
     : Combine2(std::move(name)),
-      analog_(or_zero_tap(std::move(analog_fir))),
-      digital_(or_zero_tap(std::move(digital_taps))),
-      analog32_(dsp::kernels::narrowed(analog_.taps())),
-      digital32_(dsp::kernels::narrowed(digital_.taps())) {}
+      analog_taps_(or_zero_tap(std::move(analog_fir))),
+      digital_taps_(or_zero_tap(std::move(digital_taps))),
+      stages_(make_stages()) {}
 
-void CancellerElement::set_analog(CVec taps) {
-  analog32_.set_taps(dsp::kernels::narrowed(taps));
-  analog_.set_taps(std::move(taps));
+AtPrecision<CancellerElement::Stages> CancellerElement::make_stages() const {
+  return at_precision<Stages>(precision_, [this]<typename T>(T) {
+    using dsp::kernels::to_precision;
+    return Stages<T>{dsp::FirFilter<T>(to_precision<T>(analog_taps_)),
+                     dsp::FirFilter<T>(to_precision<T>(digital_taps_))};
+  });
 }
 
-void CancellerElement::set_digital(CVec taps) {
-  digital32_.set_taps(dsp::kernels::narrowed(taps));
-  digital_.set_taps(std::move(taps));
+void CancellerElement::retune() {
+  std::visit(
+      [this]<typename T>(Stages<T>& st) {
+        using dsp::kernels::to_precision;
+        st.analog.set_taps(to_precision<T>(analog_taps_));
+        st.digital.set_taps(to_precision<T>(digital_taps_));
+      },
+      stages_);
 }
 
 void CancellerElement::configure(const Params& p) {
-  set_analog(or_zero_tap(p.get_cvec_or("analog", CVec{})));
-  set_digital(or_zero_tap(p.get_cvec_or("digital", CVec{})));
-  precision_ = parse_precision(p);
+  analog_taps_ = or_zero_tap(p.get_cvec_or("analog", CVec{}));
+  digital_taps_ = or_zero_tap(p.get_cvec_or("digital", CVec{}));
+  const Precision precision = parse_precision(p);
+  if (precision == precision_) {
+    retune();
+  } else {
+    precision_ = precision;
+    stages_ = make_stages();
+  }
 }
 
 void CancellerElement::add_handlers(HandlerRegistry& h) {
   Combine2::add_handlers(h);
-  h.add_read("analog_taps", [this] { return format_cvec(analog_.taps()); });
-  h.add_read("digital_taps", [this] { return format_cvec(digital_.taps()); });
+  h.add_read("analog_taps", [this] { return format_cvec(analog_taps_); });
+  h.add_read("digital_taps", [this] { return format_cvec(digital_taps_); });
   h.add_write("set_analog_taps", [this](const std::string& v) {
-    set_analog(or_zero_tap(parse_cvec_value(name() + ".set_analog_taps", v)));
+    analog_taps_ = or_zero_tap(parse_cvec_value(name() + ".set_analog_taps", v));
+    retune();
   });
   h.add_write("set_digital_taps", [this](const std::string& v) {
-    set_digital(or_zero_tap(parse_cvec_value(name() + ".set_digital_taps", v)));
+    digital_taps_ = or_zero_tap(parse_cvec_value(name() + ".set_digital_taps", v));
+    retune();
   });
 }
 
@@ -566,38 +582,29 @@ void CancellerElement::cancel_into(CMutSpan rx, CSpan tx) {
   FF_CHECK_MSG(tx.size() == rx.size(),
                "CancellerElement::cancel_into needs tx.size() == rx.size(), got "
                    << tx.size() << " vs " << rx.size());
-  const std::size_t n = rx.size();
-  if (n == 0) return;
-  if (precision_ == Precision::kF32) {
-    // Same association as below, restated in f32: narrow both streams once,
-    // run both stages and the two subtractions on the float32 kernels, widen
-    // the residual once. f32 slot 0 is FirFilter32 scratch; 1..4 hold the
-    // block-lifetime buffers.
-    CMutSpan32 rx32 = ws_.get_f32(1, n);
-    CMutSpan32 tx32 = ws_.get_f32(2, n);
-    CMutSpan32 analog = ws_.get_f32(3, n);
-    CMutSpan32 digital = ws_.get_f32(4, n);
-    dsp::kernels::narrow(rx, rx32);
-    dsp::kernels::narrow(tx, tx32);
-    analog32_.process_into(tx32, analog, ws_);
-    digital32_.process_into(tx32, digital, ws_);
-    for (std::size_t i = 0; i < n; ++i)
-      rx32[i] = (rx32[i] - analog[i]) - digital[i];
-    dsp::kernels::widen(rx32, rx);
-    return;
-  }
+  if (rx.empty()) return;
+  std::visit([&](auto& stages) { cancel_as(stages, rx, tx); }, stages_);
+}
+
+template <typename T>
+void CancellerElement::cancel_as(Stages<T>& st, CMutSpan rx, CSpan tx) {
   // Two explicit subtractions, analog first: the batch reference
   // (stack.apply_into) computes (rx - analog) - digital, and matching that
   // association is what makes streaming == batch BIT-identical, not merely
   // close — floating-point subtraction does not re-associate. Both stages
   // run the same dsp::fir_core accumulation order as the batch path; the
   // stateful delay lines make the equivalence hold across block boundaries.
-  CMutSpan analog = ws_.get(1, n);
-  CMutSpan digital = ws_.get(2, n);
-  analog_.process_into(tx, analog, ws_);
-  digital_.process_into(tx, digital, ws_);
-  for (std::size_t i = 0; i < n; ++i)
-    rx[i] = (rx[i] - analog[i]) - digital[i];
+  // At float both streams are narrowed once and the residual widened once.
+  // Slot 0 is FIR scratch; 1/2 hold the stage outputs, f32 3/4 the streams.
+  const std::size_t n = rx.size();
+  const std::span<std::complex<T>> analog = ws_.get<T>(1, n);
+  const std::span<std::complex<T>> digital = ws_.get<T>(2, n);
+  const std::span<std::complex<T>> r = dsp::kernels::block_at<T>(rx, ws_, 3);
+  const std::span<const std::complex<T>> t = dsp::kernels::block_at<T>(tx, ws_, 4);
+  st.analog.process_into(t, analog, ws_);
+  st.digital.process_into(t, digital, ws_);
+  for (std::size_t i = 0; i < n; ++i) r[i] = (r[i] - analog[i]) - digital[i];
+  dsp::kernels::store_block<T>(r, rx);
 }
 
 void CancellerElement::process(Block& rx, const Block& tx) {

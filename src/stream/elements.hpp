@@ -124,14 +124,14 @@ class FirElement : public Transform {
   const char* class_name() const override { return "Fir"; }
   void configure(const Params& params) override;
 
-  const dsp::FirFilter& filter() const { return fir_; }
+  const dsp::FirFilter<>& filter() const { return fir_; }
 
  protected:
   void add_handlers(HandlerRegistry& handlers) override;
   void process(Block& block) override;
 
  private:
-  dsp::FirFilter fir_;
+  dsp::FirFilter<> fir_;
 };
 
 /// Phase-continuous CFO rotation (channel::CfoRotator).
@@ -155,10 +155,13 @@ class CfoElement : public Transform {
   void process(Block& block) override;
 
  private:
+  template <typename T>
+  void process_as(CMutSpan samples);
+
   channel::CfoRotator rot_;
   double sample_rate_hz_;
   Precision precision_ = Precision::kF64;
-  dsp::kernels::Workspace ws_;  // f32 narrow/widen + phasor scratch
+  dsp::kernels::Workspace ws_;  // phasor table + the f32 sample buffer
 };
 
 /// The relay's forward path (relay::ForwardPipeline) as a stream stage:
@@ -244,10 +247,16 @@ class ChannelElement : public Transform {
     return cfg_.coherence_time_s > 0.0 && cfg_.retune_interval_samples > 0;
   }
 
+  AtPrecision<dsp::FirFilter> make_fir() const;
+  template <typename T>
+  void process_as(dsp::FirFilter<T>& fir, CMutSpan samples);
+  /// Advance the drift process by dt seconds and re-discretize into `fir`.
+  template <typename T>
+  void retune(dsp::FirFilter<T>& fir, double dt);
+
   ChannelElementConfig cfg_;
   net::DriftingChannel drift_;
-  dsp::FirFilter fir_;
-  dsp::FirFilter32 fir32_;  // float32 twin, active when precision == kF32
+  AtPrecision<dsp::FirFilter> fir_;  // at cfg_.precision
   Rng noise_rng_;
   Rng drift_rng_;
   std::uint64_t pos_ = 0;
@@ -372,8 +381,7 @@ class Add2 : public Combine2 {
 /// precision (f64 | f32: run both FIR stages and the subtractions on the
 /// float32 kernel family, converting at the block edges).
 /// Handlers: analog_taps, digital_taps (read), set_analog_taps,
-/// set_digital_taps (write, history-preserving live retunes of BOTH
-/// precision twins).
+/// set_digital_taps (write, history-preserving live retunes).
 class CancellerElement : public Combine2 {
  public:
   explicit CancellerElement(std::string name);
@@ -400,15 +408,24 @@ class CancellerElement : public Combine2 {
   void process(Block& rx, const Block& tx) override;
 
  private:
-  static CVec or_zero_tap(CVec taps);
-  void set_analog(CVec taps);
-  void set_digital(CVec taps);
+  // The two FIR stages at one sample precision T.
+  template <typename T>
+  struct Stages {
+    dsp::FirFilter<T> analog;
+    dsp::FirFilter<T> digital;
+  };
 
-  dsp::FirFilter analog_;
-  dsp::FirFilter digital_;
-  dsp::FirFilter32 analog32_;  // float32 twins, active when precision == kF32
-  dsp::FirFilter32 digital32_;
+  static CVec or_zero_tap(CVec taps);
+  AtPrecision<Stages> make_stages() const;
+  /// Push analog_taps_/digital_taps_ into the stages (history-preserving).
+  void retune();
+  template <typename T>
+  void cancel_as(Stages<T>& stages, CMutSpan rx, CSpan tx);
+
+  CVec analog_taps_;  // double masters; the stages run them at precision_
+  CVec digital_taps_;
   Precision precision_ = Precision::kF64;
+  AtPrecision<Stages> stages_;
   dsp::kernels::Workspace ws_;
 };
 

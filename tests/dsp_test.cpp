@@ -1,7 +1,10 @@
 // Unit and property tests for the DSP substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -452,43 +455,93 @@ TEST(Fir, ProcessIntoMatchesProcessAndSupportsAliasing) {
   EXPECT_THROW(c.process_into(x, wrong), std::logic_error);
 }
 
-TEST(Fir, SetTapsPreservesHistoryAcrossResize) {
+// Seeded draw of `n` complex samples at the sample type C.
+template <typename C>
+std::vector<C> draw(Rng& rng, std::size_t n) {
+  std::vector<C> v(n);
+  for (auto& x : v) {
+    const Complex d = rng.cgaussian();
+    x = {static_cast<typename C::value_type>(d.real()),
+         static_cast<typename C::value_type>(d.imag())};
+  }
+  return v;
+}
+
+// push() one sample at a time and process_into() at any block size give the
+// same bits: both accumulate taps ascending with the textbook product.
+template <typename T>
+void check_push_matches_process_into() {
+  using C = std::complex<T>;
+  using Filter = dsp::FirFilter<T>;
+  Rng rng(32);
+  const std::vector<C> taps = draw<C>(rng, 9);
+  const std::vector<C> x = draw<C>(rng, 600);
+  Filter ref(taps);
+  std::vector<C> want(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) want[i] = ref.push(x[i]);
+  for (const std::size_t block : {1, 3, 64, 256}) {
+    Filter fir(taps);
+    dsp::kernels::Workspace ws;
+    std::vector<C> got = x;
+    for (std::size_t i = 0; i < got.size(); i += block) {
+      const std::size_t n = std::min(block, got.size() - i);
+      std::span<C> seg{got.data() + i, n};
+      fir.process_into(seg, seg, ws);
+    }
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), x.size() * sizeof(C)))
+        << "block=" << block;
+  }
+}
+
+TEST(Fir, PushMatchesProcessIntoAtAnyBlockSize) {
+  check_push_matches_process_into<double>();
+  check_push_matches_process_into<float>();
+}
+
+template <typename T>
+void check_set_taps_preserves_history(double tol) {
+  using C = std::complex<T>;
+  using Filter = dsp::FirFilter<T>;
+  using std::abs;
   Rng rng(33);
-  CVec x(10);
-  for (auto& v : x) v = rng.cgaussian();
-  const CVec taps4{{1.0, 0.0}, {0.5, 0.0}, {-0.25, 0.0}, {0.0, 0.5}};
-  CVec taps6(6);
-  for (auto& v : taps6) v = rng.cgaussian();
+  const std::vector<C> x = draw<C>(rng, 10);
+  const std::vector<C> taps4{{1.0, 0.0}, {0.5, 0.0}, {-0.25, 0.0}, {0.0, 0.5}};
+  const std::vector<C> taps6 = draw<C>(rng, 6);
 
   // Grow mid-stream: the most recent 4 inputs must survive into the new
   // 6-deep delay line (older history zero-padded).
-  dsp::FirFilter fir(taps4);
-  for (const Complex s : x) fir.push(s);
+  Filter fir(taps4);
+  for (const C s : x) fir.push(s);
   fir.set_taps(taps6);
-  const Complex next{0.7, -0.3};
-  const Complex y = fir.push(next);
-  Complex expected = taps6[0] * next;
+  const C next{0.7, -0.3};
+  const C y = fir.push(next);
+  C expected = taps6[0] * next;
   for (std::size_t k = 1; k <= 4; ++k) expected += taps6[k] * x[x.size() - k];
   // taps6[5] multiplies zero-padded (forgotten) history.
-  EXPECT_NEAR(std::abs(y - expected), 0.0, 1e-12);
+  EXPECT_NEAR(abs(y - expected), 0.0, tol);
 
   // Shrink: only the most recent 2 inputs remain relevant.
-  dsp::FirFilter shrink(taps6);
-  for (const Complex s : x) shrink.push(s);
-  shrink.set_taps(CVec{{1.0, 0.0}, {0.0, 1.0}});
-  const Complex y2 = shrink.push(next);
-  EXPECT_NEAR(std::abs(y2 - (next + Complex{0.0, 1.0} * x.back())), 0.0, 1e-12);
+  Filter shrink(taps6);
+  for (const C s : x) shrink.push(s);
+  shrink.set_taps(std::vector<C>{{1.0, 0.0}, {0.0, 1.0}});
+  const C y2 = shrink.push(next);
+  EXPECT_NEAR(abs(y2 - (next + C{0.0, 1.0} * x.back())), 0.0, tol);
 
   // Same-size retune never touches the delay line.
-  dsp::FirFilter same(taps4);
-  for (const Complex s : x) same.push(s);
-  dsp::FirFilter ref(taps4);
-  for (const Complex s : x) ref.push(s);
-  CVec taps4b = taps4;
-  taps4b[2] = Complex{2.0, 0.0};
+  Filter same(taps4);
+  for (const C s : x) same.push(s);
+  Filter ref(taps4);
+  for (const C s : x) ref.push(s);
+  std::vector<C> taps4b = taps4;
+  taps4b[2] = C{2.0, 0.0};
   same.set_taps(taps4b);
-  Complex expected_same = ref.push(next) + (taps4b[2] - taps4[2]) * x[x.size() - 2];
-  EXPECT_NEAR(std::abs(same.push(next) - expected_same), 0.0, 1e-12);
+  C expected_same = ref.push(next) + (taps4b[2] - taps4[2]) * x[x.size() - 2];
+  EXPECT_NEAR(abs(same.push(next) - expected_same), 0.0, tol);
+}
+
+TEST(Fir, SetTapsPreservesHistoryAcrossResize) {
+  check_set_taps_preserves_history<double>(1e-12);
+  check_set_taps_preserves_history<float>(1e-5);
 }
 
 }  // namespace

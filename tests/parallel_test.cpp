@@ -142,10 +142,12 @@ TEST(Seeding, ForkedStreamsAreIndependentOfSiblings) {
   Rng t1 = seeding::fork_named(master2, "site.1");
   EXPECT_EQ(t1.engine()(), first_of_s1);
 
-  // And differently labelled streams actually differ.
+  // Equally labelled streams match; differently labelled ones differ.
   Rng master3(5);
   Rng u0 = seeding::fork_named(master3, "site.0");
-  EXPECT_NE(u0.engine()(), first_of_s1);
+  const std::uint64_t first_of_u0 = u0.engine()();
+  EXPECT_EQ(s0.engine()(), first_of_u0);
+  EXPECT_NE(first_of_u0, first_of_s1);
 }
 
 // ---------------------------------------------------------- determinism

@@ -3,12 +3,15 @@
 // forward pipeline and the channel book.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "dsp/fir.hpp"
 #include "dsp/noise.hpp"
 #include "phy/params.hpp"
 #include "relay/amplification.hpp"
@@ -488,6 +491,33 @@ TEST(Pipeline, ProcessIntoMatchesProcessAndSupportsAliasing) {
   EXPECT_EQ(inplace, expected);
   CVec wrong(x.size() + 3);
   EXPECT_THROW(b.process_into(x, wrong), std::logic_error);
+}
+
+// A pushed stream is the same bits as a block-processed one, at either
+// precision, with every stage (CFO, prefilter, gain, TX filter, FIFO) live.
+TEST(Pipeline, PushMatchesProcessIntoAtBothPrecisions) {
+  Rng rng(52);
+  CVec x(300);
+  for (auto& v : x) v = rng.cgaussian();
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    relay::PipelineConfig cfg;
+    cfg.cfo_hz = 11e3;
+    cfg.prefilter = CVec{{0.9, 0.0}, {0.1, -0.2}, {0.05, 0.01}};
+    cfg.tx_filter = dsp::design_lowpass(9, 0.25);
+    cfg.extra_buffer_samples = 3;
+    cfg.gain_db = 10.0;
+    cfg.precision = precision;
+    relay::ForwardPipeline pushed(cfg), blocked(cfg);
+    CVec want(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) want[i] = pushed.push(x[i]);
+    CVec got = x;
+    for (std::size_t i = 0; i < got.size(); i += 64) {
+      const CMutSpan block{got.data() + i, std::min<std::size_t>(64, got.size() - i)};
+      blocked.process_into(block, block);
+    }
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), x.size() * sizeof(Complex)))
+        << to_string(precision);
+  }
 }
 
 TEST(Pipeline, ResetClearsScrubbedCount) {
