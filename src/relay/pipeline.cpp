@@ -11,14 +11,9 @@ namespace ff::relay {
 
 ForwardPipeline::ForwardPipeline(PipelineConfig cfg)
     : cfg_(std::move(cfg)),
-      cfo_remove_(-cfg_.cfo_hz, cfg_.sample_rate_hz),
-      cfo_restore_(cfg_.restore_cfo ? cfg_.cfo_hz : 0.0, cfg_.sample_rate_hz),
-      stages_(make_stages(cfg_)),
+      filter_(make_filter(cfg_)),
+      out_rotator_(-cfg_.cfo_hz, cfg_.sample_rate_hz),
       delay_line_(std::max<std::size_t>(delay_fifo_len(), 1), Complex{}) {
-  FF_CHECK(!cfg_.prefilter.empty());
-  FF_CHECK_MSG(std::isfinite(cfg_.sample_rate_hz) && cfg_.sample_rate_hz > 0.0,
-               "PipelineConfig.sample_rate_hz must be positive and finite, got "
-                   << cfg_.sample_rate_hz);
   FF_CHECK_MSG(std::isfinite(cfg_.cfo_hz), "PipelineConfig.cfo_hz must be finite");
   FF_CHECK_MSG(std::isfinite(cfg_.gain_db), "PipelineConfig.gain_db must be finite");
   FF_CHECK_MSG(std::isfinite(cfg_.analog_rotation.real()) &&
@@ -27,14 +22,31 @@ ForwardPipeline::ForwardPipeline(PipelineConfig cfg)
   record_construction_gauges();
 }
 
-auto ForwardPipeline::make_stages(const PipelineConfig& cfg) -> AtPrecision<Stages> {
-  return at_precision<Stages>(cfg.precision, [&cfg]<typename T>(T) {
-    using dsp::kernels::to_precision;
-    return Stages<T>{
-        dsp::FirFilter<T>(to_precision<T>(cfg.prefilter)),
-        dsp::FirFilter<T>(to_precision<T>(
-            cfg.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg.tx_filter)),
-        std::complex<T>(amplitude_from_db(cfg.gain_db) * cfg.analog_rotation)};
+// The composite taps of the header derivation, in double:
+//   c = g r ((h . e^{jwk}) * t'),  t' = t (restore) or t . e^{jwm} (no restore)
+// with an empty TX filter read as t = [1]. Narrowed to T once, here.
+AtPrecision<dsp::FirFilter> ForwardPipeline::make_filter(const PipelineConfig& cfg) {
+  // Checked before any tap is built: the sample rate divides the CFO step,
+  // and an empty prefilter has no composite.
+  FF_CHECK(!cfg.prefilter.empty());
+  FF_CHECK_MSG(std::isfinite(cfg.sample_rate_hz) && cfg.sample_rate_hz > 0.0,
+               "PipelineConfig.sample_rate_hz must be positive and finite, got "
+                   << cfg.sample_rate_hz);
+  const double w = kTwoPi * cfg.cfo_hz / cfg.sample_rate_hz;
+  const auto modulate = [w](CVec taps) {
+    for (std::size_t k = 0; k < taps.size(); ++k) {
+      const double phase = w * static_cast<double>(k);
+      taps[k] *= Complex{std::cos(phase), std::sin(phase)};
+    }
+    return taps;
+  };
+  CVec tx = cfg.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg.tx_filter;
+  if (!cfg.restore_cfo) tx = modulate(std::move(tx));
+  CVec taps = dsp::convolve(modulate(cfg.prefilter), tx);
+  const Complex gain_rotation = amplitude_from_db(cfg.gain_db) * cfg.analog_rotation;
+  for (Complex& c : taps) c *= gain_rotation;
+  return at_precision<dsp::FirFilter>(cfg.precision, [&taps]<typename T>(T) {
+    return dsp::FirFilter<T>(dsp::kernels::to_precision<T>(std::move(taps)));
   });
 }
 
@@ -81,18 +93,21 @@ CVec ForwardPipeline::process(CSpan rx) {
   return out;
 }
 
-// CFO remove -> digital CNF -> CFO restore -> amplify -> analog CNF -> DAC/TX
-// reconstruction filter, on the block at precision T (narrowed once on entry
-// and widened once on exit for float; slot 0 is per-stage scratch).
+// The composite FIR from `in` to `out`, then the output rotator when the CFO
+// is not restored, at precision T. Double filters straight into `out`; float
+// narrows `in` once into f32 slot 1, runs there in place and widens once
+// into `out`. Slot 0 is per-pass scratch.
 template <typename T>
-void ForwardPipeline::run_stages(Stages<T>& st, CMutSpan block) {
-  const std::span<std::complex<T>> buf = dsp::kernels::block_at<T>(block, ws_, 1);
-  cfo_remove_.process_into(buf, buf, ws_);
-  st.prefilter.process_into(buf, buf, ws_);
-  cfo_restore_.process_into(buf, buf, ws_);
-  dsp::kernels::scale(st.gain_rotation, buf, buf);
-  if (!cfg_.tx_filter.empty()) st.tx_filter.process_into(buf, buf, ws_);
-  dsp::kernels::store_block<T>(buf, block);
+void ForwardPipeline::run_filter(dsp::FirFilter<T>& filter, CSpan in, CMutSpan out) {
+  const std::span<const std::complex<T>> x = dsp::kernels::block_at<T>(in, ws_, 1);
+  std::span<std::complex<T>> y;
+  if constexpr (std::is_same_v<T, double>)
+    y = out;
+  else
+    y = ws_.get<float>(1, in.size());
+  filter.process_into(x, y, ws_);
+  if (!cfg_.restore_cfo) out_rotator_.process_into(y, y, ws_);
+  dsp::kernels::store_block<T>(y, out);
 }
 
 void ForwardPipeline::process_into(CSpan rx, CMutSpan out) {
@@ -102,13 +117,17 @@ void ForwardPipeline::process_into(CSpan rx, CMutSpan out) {
   const std::uint64_t scrubbed_before = scrubbed_;
   const std::size_t n = rx.size();
   if (n > 0) {
-    // Stage-wise over the block. Every stage is causal (sample i of a
-    // stage's output depends only on samples <= i of its input), so running
-    // the stages block-at-a-time instead of interleaved per sample moves no
-    // arithmetic and changes no bits. Scrubbing and the FIFO run on the
-    // double-width values (the scrub test must see the original sample; the
-    // FIFO is a pure shuffle and widen() is exact).
-    if (cfg_.scrub_nonfinite) {
+    // Pass-wise over the block. Every pass is causal (sample i of a pass's
+    // output depends only on samples <= i of its input), so running them
+    // block-at-a-time instead of interleaved per sample moves no arithmetic
+    // and changes no bits. Scrubbing and the FIFO run on the double-width
+    // values (the scrub test must see the original sample; the FIFO is a
+    // pure shuffle and widen() is exact).
+    CSpan in = rx;
+    // A block's energy is finite unless a sample is not (or the block is
+    // near overflow, which the exact loop then sorts out): one vectorized
+    // reduction spares the clean common case a scrubbing copy.
+    if (cfg_.scrub_nonfinite && !std::isfinite(dsp::kernels::magsq_accum(rx))) {
       for (std::size_t i = 0; i < n; ++i) {
         Complex v = rx[i];
         if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
@@ -117,10 +136,9 @@ void ForwardPipeline::process_into(CSpan rx, CMutSpan out) {
         }
         out[i] = v;
       }
-    } else if (out.data() != rx.data()) {
-      std::copy(rx.begin(), rx.end(), out.begin());
+      in = out;
     }
-    std::visit([&](auto& stages) { run_stages(stages, out); }, stages_);
+    std::visit([&](auto& filter) { run_filter(filter, in, out); }, filter_);
     if (delay_fifo_len() > 0) {
       // Remaining bulk delay FIFO (converter latency when no TX filter
       // models it, plus any artificial buffering).
@@ -157,14 +175,8 @@ void ForwardPipeline::report_workspace_growth(const char* grows_name,
 }
 
 void ForwardPipeline::reset() {
-  cfo_remove_.reset();
-  cfo_restore_.reset();
-  std::visit(
-      [](auto& stages) {
-        stages.prefilter.reset();
-        stages.tx_filter.reset();
-      },
-      stages_);
+  out_rotator_.reset();
+  std::visit([](auto& filter) { filter.reset(); }, filter_);
   std::fill(delay_line_.begin(), delay_line_.end(), Complex{});
   delay_pos_ = 0;
   // A reset pipeline should report like a fresh one; leaving the scrub count

@@ -1,22 +1,30 @@
-// Sample-level relay forward path (Sec. 4.1 + 4.3).
+// Sample-level relay forward path (Sec. 4.1 + 4.3) as one composite filter.
 //
-// Stages, in order, with their latency contribution at 20 Msps:
-//   ADC                      ~0.5 sample   (modelled within adc_dac_delay)
-//   CFO correction           0             (one complex multiply)
-//   causal digital cancel    0             (the Sec. 3.3 invention)
-//   digital CNF pre-filter   (taps-1) * Ts of delay spread
-//   CFO restore              0
-//   amplify                  0
-//   DAC                      ~0.5 sample
-//   analog CNF rotator       ~0.3 ns
+// The relay's signal chain is CFO remove -> digital CNF prefilter h ->
+// CFO restore -> amplify g and analog CNF rotation r -> TX reconstruction
+// filter t -> ADC/DAC delay. The CFO trick is what lets the relay process
+// at zero offset while the destination still sees one consistent offset
+// across the direct and relayed paths (Sec. 4.1). Remove and restore
+// advance in lockstep from the same phase, so with w = 2 pi cfo / fs:
 //
-// The CFO trick: the relay corrects the source's carrier offset for its own
-// processing, then re-applies it before transmission, so the destination
-// sees one consistent offset across the direct and relayed paths and its
-// own CFO correction still works.
+//   e^{jwn} sum_k h[k] e^{-jw(n-k)} x[n-k] = sum_k (h[k] e^{jwk}) x[n-k]
+//
+// and every stage is linear and time-invariant: the whole chain is the one
+// FIR
+//
+//   c = g r ((h . e^{jwk}) * t)                      (restore_cfo = true)
+//
+// built once in double at construction, narrowed to the configured
+// precision, followed by the delay FIFO. With restore_cfo = false (the
+// Sec. 4.1 ablation) the remove rotator has no partner; pushing it through
+// t the same way gives the same FIR with modulated TX taps,
+//
+//   y[n] = e^{-jwn} sum_m c[m] x[n-m],  c = g r ((h . e^{jwk}) * (t . e^{jwm}))
+//
+// i.e. the FIR followed by one output rotator. Latency at the stream rate is
+// the FIFO (ADC/DAC + artificial buffering) plus the filter's spread; the
+// folded arithmetic adds none.
 #pragma once
-
-#include <complex>
 
 #include "channel/cfo.hpp"
 #include "common/types.hpp"
@@ -57,12 +65,13 @@ struct PipelineConfig {
   /// process() counts forwarded samples. Default nullptr records nothing.
   MetricsRegistry* metrics = nullptr;
   /// Arithmetic precision of the forward path. kF32 converts each block to
-  /// float32 once on entry, runs the CFO/prefilter/gain/TX-filter stages on
+  /// float32 once on entry, runs the composite FIR (and output rotator) on
   /// the f32 kernel family (double the SIMD lanes), and widens once on exit
   /// — the mixed-precision fast path (docs/PERFORMANCE.md, "The float32
-  /// family"). Taps and CFO phase recurrences stay double; only the sample
-  /// stream narrows. f32 output is deterministic (its own pinned checksum
-  /// family) but numerically distinct from kF64, the accuracy reference.
+  /// family"). The composite taps are built in double and narrowed once; the
+  /// rotator's phase recurrence stays double; only the sample stream
+  /// narrows. f32 output is deterministic (its own pinned checksum family)
+  /// but numerically distinct from kF64, the accuracy reference.
   Precision precision = Precision::kF64;
 };
 
@@ -93,9 +102,10 @@ class ForwardPipeline {
   /// exactly rx.size() samples and may alias `rx`: the streaming runtime's
   /// allocation-free block path. Metrics accounting matches process().
   ///
-  /// Runs stage-wise over the block (scrub, CFO remove, prefilter, CFO
-  /// restore, gain+rotation, TX filter, delay FIFO). Every stage is causal,
-  /// so the output is invariant to how the stream is cut into blocks.
+  /// Runs three passes over the block: scrub (a copy only for a block that
+  /// holds a non-finite sample), the composite FIR (plus the output rotator
+  /// when restore_cfo is false), delay FIFO. Every pass is causal, so the
+  /// output is invariant to how the stream is cut into blocks.
   /// Scratch comes from the pipeline-owned Workspace; after warmup no heap
   /// allocation happens here (`ff.alloc.*` telemetry and
   /// tests/kernels_test.cpp hold that).
@@ -112,37 +122,27 @@ class ForwardPipeline {
   /// (no double-counted instances).
   void set_metrics(MetricsRegistry* metrics);
 
-  /// Return to the freshly-constructed state: clears every delay line, both
-  /// CFO phases, and the scrubbed-sample count.
+  /// Return to the freshly-constructed state: clears the filter and FIFO
+  /// delay lines, the output rotator's phase, and the scrubbed-sample count.
   void reset();
 
  private:
-  // The filter stages at one sample precision T: the only state that
-  // depends on PipelineConfig::precision.
-  template <typename T>
-  struct Stages {
-    dsp::FirFilter<T> prefilter;
-    dsp::FirFilter<T> tx_filter;
-    std::complex<T> gain_rotation;  // gain * analog_rotation, rounded to T
-  };
-
-  static AtPrecision<Stages> make_stages(const PipelineConfig& cfg);
+  static AtPrecision<dsp::FirFilter> make_filter(const PipelineConfig& cfg);
   std::size_t delay_fifo_len() const;
   void record_construction_gauges();
   template <typename T>
-  void run_stages(Stages<T>& stages, CMutSpan block);
+  void run_filter(dsp::FirFilter<T>& filter, CSpan in, CMutSpan out);
   template <typename T>
   void report_workspace_growth(const char* grows_name, const char* bytes_name,
                                std::uint64_t& reported);
 
   PipelineConfig cfg_;
-  channel::CfoRotator cfo_remove_;
-  channel::CfoRotator cfo_restore_;
-  AtPrecision<Stages> stages_;
+  AtPrecision<dsp::FirFilter> filter_;  // the composite taps c, at cfg_.precision
+  channel::CfoRotator out_rotator_;     // e^{-jwn}; runs only without restore_cfo
   CVec delay_line_;      // bulk delay FIFO
   std::size_t delay_pos_ = 0;
   std::uint64_t scrubbed_ = 0;
-  dsp::kernels::Workspace ws_;  // shared scratch for all block stages
+  dsp::kernels::Workspace ws_;  // shared scratch for the block passes
   std::uint64_t ws_grows_reported_ = 0;  // ff.alloc.* telemetry watermarks
   std::uint64_t ws_f32_grows_reported_ = 0;
 };

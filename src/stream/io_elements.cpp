@@ -66,8 +66,12 @@ bool SocketSource::work() {
       wire_expect_magic(conn_.get());
       magic_seen_ = true;
     }
+    // Only the round's first frame waits for the peer; once one is emitted,
+    // take just what is already readable, so a frame never waits in this
+    // loop for later ones (at a low offered rate that held each frame for
+    // up to a channel's worth of successors before the relay saw it).
     CVec samples;
-    const WireRecv st = wire_recv_frame(conn_.get(), samples, poll_ms_);
+    const WireRecv st = wire_recv_frame(conn_.get(), samples, moved ? 0 : poll_ms_);
     if (st == WireRecv::kTimeout) {
       waiting_ = true;
       break;

@@ -41,7 +41,9 @@ namespace ff::stream {
 ///
 /// Params: endpoint (unix:<path> | tcp:<host>:<port>; required unless a
 /// connection is adopted), listen (default true: bind+accept; false: dial
-/// out), poll_ms (default 50: per-round wait for the peer),
+/// out), poll_ms (default 50: how long one work() call waits for the
+/// round's first frame; later frames in the same call are taken only if
+/// already readable, so a frame is never held back for its successors),
 /// connect_timeout (default 10 s, dial-out mode).
 /// Handlers: produced, frames, connected (read).
 class SocketSource : public Element {

@@ -630,23 +630,29 @@ TEST(ZeroAllocation, HookIsLive) {
   EXPECT_GT(alloc_count(), before);
 }
 
+// Both forward-path shapes: the composite FIR alone (restore_cfo) and the
+// FIR plus its output rotator (restore_cfo=false).
 TEST(ZeroAllocation, ForwardPipelineSteadyState) {
-  relay::PipelineConfig cfg;
-  cfg.cfo_hz = 30e3;
-  cfg.prefilter = CVec(12, Complex{0.25, 0.05});
-  cfg.tx_filter = dsp::design_lowpass(9, 0.25);
-  cfg.adc_dac_delay_samples = 4;
-  cfg.gain_db = 40.0;
-  relay::ForwardPipeline pipe(cfg);
-  Rng rng(10);
-  CVec x(512), out(512);
-  for (auto& v : x) v = rng.cgaussian();
-  // Warmup grows the pipeline's Workspace to this block size.
-  for (int i = 0; i < 3; ++i) pipe.process_into(x, out);
-  const std::uint64_t before = alloc_count();
-  for (int i = 0; i < 32; ++i) pipe.process_into(x, out);
-  EXPECT_EQ(alloc_count(), before)
-      << "ForwardPipeline::process_into allocated in steady state";
+  for (const bool restore_cfo : {true, false}) {
+    relay::PipelineConfig cfg;
+    cfg.cfo_hz = 30e3;
+    cfg.restore_cfo = restore_cfo;
+    cfg.prefilter = CVec(12, Complex{0.25, 0.05});
+    cfg.tx_filter = dsp::design_lowpass(9, 0.25);
+    cfg.adc_dac_delay_samples = 4;
+    cfg.gain_db = 40.0;
+    relay::ForwardPipeline pipe(cfg);
+    Rng rng(10);
+    CVec x(512), out(512);
+    for (auto& v : x) v = rng.cgaussian();
+    // Warmup grows the pipeline's Workspace to this block size.
+    for (int i = 0; i < 3; ++i) pipe.process_into(x, out);
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 32; ++i) pipe.process_into(x, out);
+    EXPECT_EQ(alloc_count(), before)
+        << "ForwardPipeline::process_into allocated in steady state, restore_cfo="
+        << restore_cfo;
+  }
 }
 
 TEST(ZeroAllocation, CancellerElementSteadyState) {
@@ -670,22 +676,26 @@ TEST(ZeroAllocation, CancellerElementSteadyState) {
 // The f32 path has its own Workspace slots and FIR scratch; prove the fast
 // path is as allocation-free in steady state as the reference path.
 TEST(ZeroAllocation, ForwardPipelineF32SteadyState) {
-  relay::PipelineConfig cfg;
-  cfg.cfo_hz = 30e3;
-  cfg.prefilter = CVec(12, Complex{0.25, 0.05});
-  cfg.tx_filter = dsp::design_lowpass(9, 0.25);
-  cfg.adc_dac_delay_samples = 4;
-  cfg.gain_db = 40.0;
-  cfg.precision = Precision::kF32;
-  relay::ForwardPipeline pipe(cfg);
-  Rng rng(15);
-  CVec x(512), out(512);
-  for (auto& v : x) v = rng.cgaussian();
-  for (int i = 0; i < 3; ++i) pipe.process_into(x, out);
-  const std::uint64_t before = alloc_count();
-  for (int i = 0; i < 32; ++i) pipe.process_into(x, out);
-  EXPECT_EQ(alloc_count(), before)
-      << "ForwardPipeline f32 process_into allocated in steady state";
+  for (const bool restore_cfo : {true, false}) {
+    relay::PipelineConfig cfg;
+    cfg.cfo_hz = 30e3;
+    cfg.restore_cfo = restore_cfo;
+    cfg.prefilter = CVec(12, Complex{0.25, 0.05});
+    cfg.tx_filter = dsp::design_lowpass(9, 0.25);
+    cfg.adc_dac_delay_samples = 4;
+    cfg.gain_db = 40.0;
+    cfg.precision = Precision::kF32;
+    relay::ForwardPipeline pipe(cfg);
+    Rng rng(15);
+    CVec x(512), out(512);
+    for (auto& v : x) v = rng.cgaussian();
+    for (int i = 0; i < 3; ++i) pipe.process_into(x, out);
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 32; ++i) pipe.process_into(x, out);
+    EXPECT_EQ(alloc_count(), before)
+        << "ForwardPipeline f32 process_into allocated in steady state, restore_cfo="
+        << restore_cfo;
+  }
 }
 
 TEST(ZeroAllocation, CancellerElementF32SteadyState) {

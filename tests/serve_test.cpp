@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include "eval/testbed.hpp"
 #include "eval/timedomain.hpp"
 #include "phy/frame.hpp"
+#include "relay/pipeline.hpp"
 #include "serve/control.hpp"
 #include "serve/daemon.hpp"
 #include "serve/snapshot.hpp"
@@ -455,7 +457,7 @@ CVec run_socket_relay(const RelaySession& s, const CVec& input,
 TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
   // The exact constant the fully in-process graph pins
   // (tests/stream_test.cpp, BENCH_runtime.json).
-  constexpr std::uint64_t kChecksum = 0xC4363E27ACCEB195ULL;
+  constexpr std::uint64_t kChecksum = 0x6A5A4D77AD3C20FFULL;
   const RelaySession session = make_relay_session();
   const CVec input = capture_source(session);
   ASSERT_EQ(input.size(), 399360u);
@@ -477,6 +479,104 @@ TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
       EXPECT_EQ(checksum(got), kChecksum) << "throughput frame=" << frame_size;
     }
   }
+}
+
+// ------------------------------------------------- per-frame socket latency
+
+// A SocketSource waits poll_ms only for the first frame of a work() call;
+// after that it takes only frames already readable. So with a 10 s poll, a
+// lone frame still reaches the relay and comes back at once: the client
+// gets its output within 2 s, then ping-pongs 16 more frames, each the
+// bits of a ForwardPipeline replay. A source that waited poll_ms for every
+// frame would sit on the first one for the full 10 s, waiting for a second
+// frame the client only sends after the first comes back.
+TEST(SocketSource, ForwardsEachFrameWithoutWaitingForTheNext) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string out_ep = "unix:" + dir + "/out.sock";
+
+  relay::PipelineConfig cfg;
+  cfg.cfo_hz = 20e3;
+  cfg.prefilter = CVec{{0.8, 0.1}, {0.2, -0.1}, {-0.05, 0.02}, {0.01, 0.0}};
+  cfg.tx_filter = dsp::design_lowpass(9, 0.17);
+  cfg.adc_dac_delay_samples = 4;
+  cfg.gain_db = 20.0;
+
+  stream::Graph g;
+  auto* in = g.emplace<stream::SocketSource>("in");
+  {
+    stream::Params p;
+    p.set("endpoint", in_ep);
+    p.set("poll_ms", "10000");
+    in->configure(p);
+  }
+  auto* relay = g.emplace<stream::PipelineElement>("relay", cfg);
+  auto* out = g.emplace<stream::SocketSink>("out");
+  {
+    stream::Params p;
+    p.set("endpoint", out_ep);  // dials out to the client's listener
+    out->configure(p);
+  }
+  g.connect(*in, 0, *relay, 0, 8);
+  g.connect(*relay, 0, *out, 0, 8);
+
+  const stream::OwnedFd listener =
+      stream::wire_listen(stream::parse_endpoint("client", out_ep));
+  std::exception_ptr run_error;
+  std::thread runner([&] {
+    try {
+      stream::Scheduler(g).run();
+    } catch (...) {
+      run_error = std::current_exception();
+    }
+  });
+
+  const stream::OwnedFd feed =
+      stream::wire_connect(stream::parse_endpoint("client", in_ep), 20.0);
+  stream::wire_send_magic(feed.get());
+  stream::OwnedFd back;
+  // Accept the sink's connection (once) and read one frame, each wait
+  // bounded by timeout_ms; empty on a timeout.
+  auto receive = [&](int timeout_ms) {
+    CVec got;
+    if (!back.valid()) {
+      if (!stream::wire_poll_readable(listener.get(), timeout_ms)) return got;
+      back = stream::wire_accept(listener.get());
+      stream::wire_expect_magic(back.get());
+    }
+    if (stream::wire_recv_frame(back.get(), got, timeout_ms) != stream::WireRecv::kFrame)
+      got.clear();
+    return got;
+  };
+
+  relay::ForwardPipeline replay(cfg);
+  Rng rng(60);
+  CVec frame(256);
+  for (int i = 0; i < 17; ++i) {
+    for (Complex& v : frame) v = rng.cgaussian();
+    const CVec want = replay.process(frame);
+    const auto sent = std::chrono::steady_clock::now();
+    stream::wire_send_frame(feed.get(), frame);
+    const CVec got = receive(2000);
+    const std::chrono::duration<double> waited = std::chrono::steady_clock::now() - sent;
+    EXPECT_LT(waited.count(), 2.0) << "frame " << i;
+    EXPECT_EQ(got, want) << "frame " << i;
+    if (got != want) break;  // don't wait out the poll on every frame
+  }
+
+  // EOS in, EOS out, and the graph finishes. After a failure the sink may
+  // not have connected yet: accept it and drain what it still sends.
+  stream::wire_send_eos(feed.get());
+  if (!back.valid()) (void)receive(20000);
+  CVec tail;
+  while (back.valid() &&
+         stream::wire_recv_frame(back.get(), tail, 20000) == stream::WireRecv::kFrame) {
+  }
+  runner.join();
+  EXPECT_FALSE(run_error);
+  ::unlink((dir + "/in.sock").c_str());
+  ::unlink((dir + "/out.sock").c_str());
+  ::rmdir(dir.c_str());
 }
 
 // ------------------------------------------------------------ the daemon

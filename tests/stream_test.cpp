@@ -723,7 +723,7 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
   // The exact constant BENCH_runtime.json reports for the stream_relay
   // kernel. If this moves, the streaming runtime changed the physics — at
   // ANY chain partitioning and batch size, in either mode.
-  constexpr std::uint64_t kChecksum = 0xC4363E27ACCEB195ULL;
+  constexpr std::uint64_t kChecksum = 0x6A5A4D77AD3C20FFULL;
   const RelaySession session = make_relay_session();
 
   SchedulerConfig reference;
@@ -745,12 +745,12 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
 
 // The f32 relay session has its OWN pinned checksum (docs/PERFORMANCE.md,
 // "The float32 family"): a different constant from the f64 session's
-// c4363e27acceb195, but held to the same invariance contract — one value no
+// 6a5a4d77ad3c20ff, but held to the same invariance contract — one value no
 // matter how the stream is blocked, how many workers run it, which
 // scheduler executes it, or (via the release-nosimd preset re-running this
 // binary) which ISA the kernels dispatched to.
 TEST(StreamF32, RelaySessionChecksumPinnedAcrossBlocksThreadsAndModes) {
-  constexpr std::uint64_t kChecksumF32 = 0x44C2EE7A47C3CA7DULL;
+  constexpr std::uint64_t kChecksumF32 = 0x4C5091284BF23263ULL;
   const RelaySession session = make_relay_session(Precision::kF32);
 
   // Every block size runs in both modes; the worker count cycles through
