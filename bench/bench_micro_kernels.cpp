@@ -439,19 +439,21 @@ BENCHMARK(BM_ViterbiDecode);
 // ---- streaming runtime: the per-transfer cost of the pipeline scheduler's
 // SPSC ring, and the fixed per-round overhead of a whole scheduler pass
 // (graph walk, virtual dispatch, channel bookkeeping) with near-zero
-// payload work — the constant the throughput mode's batching amortizes.
+// payload work.
 
 void BM_RingPushPop(benchmark::State& state) {
-  // Single-threaded ping-pong: one push + one pop per iteration, measuring
-  // the ring's index arithmetic and acquire/release pair without
-  // cross-core traffic (the steady-state fast path, since each side's
-  // cached opposite index makes most operations core-local anyway).
+  // Single-threaded ping-pong: one 1-item batch push + one 1-item batch pop
+  // per iteration, measuring the ring's index arithmetic and
+  // acquire/release pair without cross-core traffic (the steady-state fast
+  // path, since each side's cached opposite index makes most operations
+  // core-local anyway).
   stream::SpscRing<std::uint64_t> ring(256);
   std::uint64_t v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.try_push(std::uint64_t{v}));
+    benchmark::DoNotOptimize(ring.try_push_batch(1, [&] { return v; }));
     std::uint64_t out = 0;
-    benchmark::DoNotOptimize(ring.try_pop(out));
+    benchmark::DoNotOptimize(ring.try_pop_batch(1, [&](std::uint64_t&& x) { out = x; }));
+    benchmark::DoNotOptimize(out);
     ++v;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -476,8 +478,7 @@ BENCHMARK(BM_RingPushPopBatch16);
 void BM_SchedulerRoundOverhead(benchmark::State& state) {
   // A 4-element pass-through graph (source -> queue -> queue -> sink) with
   // 1-sample blocks: the work per block is nothing, so the measured time is
-  // the runtime's own overhead per scheduled block — the number the
-  // work_batch/ring-batch path exists to shrink.
+  // the runtime's own overhead per scheduled block.
   const std::size_t n_blocks = 256;
   const CVec data(n_blocks, Complex{1.0, 0.0});
   for (auto _ : state) {

@@ -13,14 +13,15 @@
 // The stream_relay kernel times the streaming element-graph runtime
 // (src/stream/) pushing a full relay session — packet source, direct and
 // relayed paths, superposition — through bounded blocks, and cross-checks
-// that the output checksum is identical across block sizes and thread
-// counts (the runtime's block-size/thread invariance contract). The
+// that the output checksum is identical across block sizes, chain counts
+// and batch sizes (the runtime's invariance contract). The
 // stream_relay_throughput kernel times the same session under the pipeline
-// scheduler (auto chain count, --batch-size blocks per ring transfer,
-// --pin-cores to bind workers) and cross-checks its checksum against the
-// reference row; both modes are always measured, so StreamCli's --mode is
-// ignored here. Knobs: --block-size / --duration / --backpressure /
-// --threads (eval::StreamCli, shared with examples/streaming_relay).
+// scheduler (--batch-size blocks per ring transfer, --pin-cores to bind
+// workers) and cross-checks its checksum against the reference row. Both
+// modes are always measured; --mode throughput only lets --threads N fix
+// the throughput row's chain count (auto otherwise). Knobs: --block-size /
+// --duration / --backpressure / --threads (eval::StreamCli, shared with
+// examples/streaming_relay).
 //
 // The city row (v4) times the sharded many-relay city simulation
 // (src/city/): client-sessions/sec, the whole-city FF throughput CDF, and
@@ -224,9 +225,11 @@ struct StreamRun {
   std::uint64_t checksum = 0;
 };
 
-/// Scheduler selection for one stream run (reference rounds by default).
+/// Scheduler selection for one stream run (reference mode, one chain, by
+/// default).
 struct StreamExec {
   bool throughput = false;
+  std::size_t chains = 0;  // throughput mode; 0 = one per visible core
   std::size_t batch_size = 1;
   bool pin_cores = false;
 };
@@ -236,8 +239,7 @@ struct StreamExec {
 /// The same graph shape as examples/streaming_relay, self-checked here via
 /// an FNV-1a checksum of the output stream.
 StreamRun run_stream_once(const StreamSetup& s, std::size_t block_size,
-                          std::size_t backpressure, std::size_t threads,
-                          const StreamExec& exec = {}) {
+                          std::size_t backpressure, const StreamExec& exec = {}) {
   namespace st = ff::stream;
   const std::size_t cap = backpressure;
   st::Graph g;
@@ -286,9 +288,9 @@ StreamRun run_stream_once(const StreamSetup& s, std::size_t block_size,
   g.connect(*add, 0, *sink, 0, cap);
 
   st::SchedulerConfig sc;
-  sc.threads = threads;
   if (exec.throughput) {
     sc.mode = st::SchedulerMode::kThroughput;
+    sc.threads = exec.chains;
     sc.batch_size = exec.batch_size;
     sc.pin_cores = exec.pin_cores;
   }
@@ -386,8 +388,10 @@ int main(int argc, char** argv) {
                   "city simulation grid dimension (N x N AP+relay sites)")
       .add_option("--city-clients", &city_clients,
                   "client locations per city site");
-  // --threads here scopes to the stream session; the experiment sweep is
-  // fixed at 1/2/4/N by design.
+  // --threads here scopes to the stream session: with --mode throughput it
+  // sets the stream_relay_throughput row's chain count (auto otherwise);
+  // the reference rows are one chain. The experiment sweep is fixed at
+  // 1/2/4/N by design.
   stream_cli.register_options(cli, /*with_metrics_option=*/false);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!stream_cli.validate()) return 2;
@@ -438,27 +442,28 @@ int main(int argc, char** argv) {
   StreamRun stream_run;
   const double stream_ms = time_best_ms(
       [&] {
-        stream_run = run_stream_once(setup, stream_cli.block_size(),
-                                     stream_cli.backpressure(), stream_cli.threads());
+        stream_run =
+            run_stream_once(setup, stream_cli.block_size(), stream_cli.backpressure());
       },
       reps);
   kernels.push_back(
       {"stream_relay", stream_ms, static_cast<std::size_t>(stream_run.blocks)});
 
   // ---- stream_relay_throughput: the same session under the pipeline
-  // scheduler (pinned per-core chains over SPSC rings). threads = 0 lets
-  // the chain count follow the host, so this row scales on multi-core
-  // machines; the checksum cross-check below still holds it to the
-  // reference output bit for bit.
+  // scheduler (pinned per-core chains over SPSC rings). Unless --mode
+  // throughput --threads N fixes it, the chain count follows the host, so
+  // this row scales on multi-core machines; the checksum cross-check below
+  // still holds it to the reference output bit for bit.
   StreamExec texec;
   texec.throughput = true;
+  texec.chains = stream_cli.is_throughput() ? stream_cli.threads() : 0;
   texec.batch_size = stream_cli.batch_size();
   texec.pin_cores = stream_cli.pin_cores();
   StreamRun stream_tp_run;
   const double stream_tp_ms = time_best_ms(
       [&] {
         stream_tp_run = run_stream_once(setup, stream_cli.block_size(),
-                                        stream_cli.backpressure(), /*threads=*/0, texec);
+                                        stream_cli.backpressure(), texec);
       },
       reps);
   kernels.push_back({"stream_relay_throughput", stream_tp_ms,
@@ -473,67 +478,63 @@ int main(int argc, char** argv) {
   StreamRun stream_f32_run;
   const double stream_f32_ms = time_best_ms(
       [&] {
-        stream_f32_run = run_stream_once(setup_f32, stream_cli.block_size(),
-                                         stream_cli.backpressure(), stream_cli.threads());
+        stream_f32_run =
+            run_stream_once(setup_f32, stream_cli.block_size(), stream_cli.backpressure());
       },
       reps);
   kernels.push_back({"stream_relay_f32", stream_f32_ms,
                      static_cast<std::size_t>(stream_f32_run.blocks)});
 
   // The runtime's invariance contract: the output stream is bit-identical
-  // for any block size and thread count (tests/stream_test.cpp proves it on
-  // synthetic graphs; this re-proves it on the full relay session). The
-  // variant grid deliberately spans degenerate (1), odd (7), and large
-  // (4096) block sizes against 1/2/4 threads — the shapes where a
-  // vectorized block path could diverge from the per-sample reference if
-  // it re-associated anything.
-  bool stream_deterministic = stream_tp_run.checksum == stream_run.checksum &&
-                              stream_tp_run.samples == stream_run.samples;
-  const struct { std::size_t block_size, threads; } variants[] = {
-      {1, 1},    {7, 2},    {64, 1},   {64, 4},
-      {4096, 1}, {4096, 2}, {4096, 4}, {stream_cli.block_size(), 4}};
-  for (const auto& v : variants) {
-    const StreamRun r =
-        run_stream_once(setup, v.block_size, stream_cli.backpressure(), v.threads);
-    if (r.checksum != stream_run.checksum || r.samples != stream_run.samples)
-      stream_deterministic = false;
-  }
-  // Throughput-mode grid: partitionings and batch sizes that exercise ring
-  // traffic (2 and 4 chains) and batching (1 and 16 blocks per transfer).
-  const struct { std::size_t chains, batch; } tp_variants[] = {
-      {1, 1}, {2, 4}, {4, 16}};
-  for (const auto& v : tp_variants) {
+  // for any block size, chain count and batch size (tests/stream_test.cpp
+  // proves it on synthetic graphs; this re-proves it on the full relay
+  // session). The grid deliberately spans degenerate (1), odd (7), and
+  // large (4096) block sizes — the shapes where a vectorized block path
+  // could diverge from the per-sample reference if it re-associated
+  // anything — in reference mode and cut into 2 and 4 throughput chains.
+  const auto same_as = [](const StreamRun& r, const StreamRun& want) {
+    return r.checksum == want.checksum && r.samples == want.samples;
+  };
+  const auto throughput = [&](std::size_t chains, std::size_t batch) {
     StreamExec e;
     e.throughput = true;
-    e.batch_size = v.batch;
-    const StreamRun r = run_stream_once(setup, stream_cli.block_size(),
-                                        stream_cli.backpressure(), v.chains, e);
-    if (r.checksum != stream_run.checksum || r.samples != stream_run.samples)
-      stream_deterministic = false;
-  }
+    e.chains = chains;
+    e.batch_size = batch;
+    return e;
+  };
+  bool stream_deterministic = same_as(stream_tp_run, stream_run);
+  for (const std::size_t bs : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                               std::size_t{4096}})
+    stream_deterministic &=
+        same_as(run_stream_once(setup, bs, stream_cli.backpressure()), stream_run);
+  const struct { std::size_t block_size, chains, batch; } tp_variants[] = {
+      {7, 2, stream_cli.batch_size()},    {64, 4, stream_cli.batch_size()},
+      {4096, 2, stream_cli.batch_size()}, {4096, 4, stream_cli.batch_size()},
+      {stream_cli.block_size(), 1, 1},    {stream_cli.block_size(), 2, 4},
+      {stream_cli.block_size(), 4, 16}};
+  for (const auto& v : tp_variants)
+    stream_deterministic &= same_as(run_stream_once(setup, v.block_size,
+                                                    stream_cli.backpressure(),
+                                                    throughput(v.chains, v.batch)),
+                                    stream_run);
 
   // The f32 family holds the same invariance contract around its OWN
   // checksum (a different constant from the f64 one — the families never
-  // mix): reference rounds across block sizes and threads, plus the
-  // pipeline scheduler, must all reproduce stream_f32_run bit for bit.
+  // mix): reference mode across block sizes, plus throughput chains, must
+  // all reproduce stream_f32_run bit for bit.
   bool stream_f32_deterministic = stream_f32_run.samples == stream_run.samples;
-  const struct { std::size_t block_size, threads; } f32_variants[] = {
-      {1, 1}, {7, 2}, {4096, 4}};
-  for (const auto& v : f32_variants) {
-    const StreamRun r = run_stream_once(setup_f32, v.block_size,
-                                        stream_cli.backpressure(), v.threads);
-    if (r.checksum != stream_f32_run.checksum || r.samples != stream_f32_run.samples)
-      stream_f32_deterministic = false;
-  }
-  {
-    StreamExec e;
-    e.throughput = true;
-    e.batch_size = 4;
-    const StreamRun r = run_stream_once(setup_f32, stream_cli.block_size(),
-                                        stream_cli.backpressure(), /*threads=*/2, e);
-    if (r.checksum != stream_f32_run.checksum || r.samples != stream_f32_run.samples)
-      stream_f32_deterministic = false;
-  }
+  for (const std::size_t bs : {std::size_t{1}, std::size_t{7}, std::size_t{4096}})
+    stream_f32_deterministic &=
+        same_as(run_stream_once(setup_f32, bs, stream_cli.backpressure()), stream_f32_run);
+  const struct { std::size_t block_size, chains, batch; } f32_tp_variants[] = {
+      {7, 2, stream_cli.batch_size()},
+      {4096, 4, stream_cli.batch_size()},
+      {stream_cli.block_size(), 2, 4}};
+  for (const auto& v : f32_tp_variants)
+    stream_f32_deterministic &= same_as(run_stream_once(setup_f32, v.block_size,
+                                                        stream_cli.backpressure(),
+                                                        throughput(v.chains, v.batch)),
+                                        stream_f32_run);
 
   // The pipeline speedup claim is only testable when the host actually has
   // cores to pipeline across; on a 1-CPU container the chains time-slice
@@ -564,13 +565,15 @@ int main(int argc, char** argv) {
   const double stream_tp_msps =
       static_cast<double>(stream_tp_run.samples) / (1e3 * stream_tp_ms);
   std::printf("stream_relay_throughput: %.1f Msamples/s at batch %zu "
-              "(auto chains, %u visible CPUs)",
-              stream_tp_msps, stream_cli.batch_size(), hw_concurrency);
+              "(%s chains, %u visible CPUs)",
+              stream_tp_msps, stream_cli.batch_size(),
+              texec.chains == 0 ? "auto" : std::to_string(texec.chains).c_str(),
+              hw_concurrency);
   if (tp_skipped_reason.empty())
     std::printf(", %.2fx vs reference\n", tp_speedup);
   else
     std::printf(", speedup check skipped: %s\n", tp_skipped_reason.c_str());
-  std::printf("stream output bit-identical across block sizes, threads, "
+  std::printf("stream output bit-identical across block sizes, chains, "
               "modes and batch sizes: %s\n",
               stream_deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
   const double stream_f32_msps =
@@ -580,7 +583,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_f32_run.checksum));
   std::printf("stream_relay_f32: %.1f Msamples/s (%.2fx vs f64, own checksum %s)\n",
               stream_f32_msps, f32_speedup, cs);
-  std::printf("f32 stream output bit-identical across block sizes, threads "
+  std::printf("f32 stream output bit-identical across block sizes, chains "
               "and modes: %s\n",
               stream_f32_deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
@@ -661,7 +664,7 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.key("block_size").value(stream_cli.block_size());
   json.key("backpressure_blocks").value(stream_cli.backpressure());
-  json.key("threads").value(stream_cli.threads());
+  json.key("threads").value(std::size_t{1});  // reference mode: one chain
   json.key("duration_s").value(stream_cli.duration_s());
   json.key("samples").value(static_cast<std::size_t>(stream_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_run.blocks));
@@ -684,7 +687,7 @@ int main(int argc, char** argv) {
   json.key("backpressure_blocks").value(stream_cli.backpressure());
   json.key("batch_size").value(stream_cli.batch_size());
   json.key("pinned").value(stream_cli.pin_cores());
-  json.key("chains").value(std::size_t{0});
+  json.key("chains").value(texec.chains);
   json.key("samples").value(static_cast<std::size_t>(stream_tp_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_tp_run.blocks));
   json.key("best_of_ms").value(stream_tp_ms);
@@ -709,7 +712,7 @@ int main(int argc, char** argv) {
   json.key("precision").value(std::string("f32"));
   json.key("block_size").value(stream_cli.block_size());
   json.key("backpressure_blocks").value(stream_cli.backpressure());
-  json.key("threads").value(stream_cli.threads());
+  json.key("threads").value(std::size_t{1});
   json.key("samples").value(static_cast<std::size_t>(stream_f32_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_f32_run.blocks));
   json.key("best_of_ms").value(stream_f32_ms);

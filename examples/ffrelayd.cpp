@@ -57,9 +57,11 @@ int main(int argc, char** argv) {
                  "per-session scheduler: 'reference' (live control commands "
                  "work) or 'throughput' (element commands answer `err busy`)");
   cli.add_option("--threads", &cfg.threads,
-                 "scheduler worker threads / pipeline chains per session");
+                 "throughput mode: pipeline chains per session (0 = "
+                 "FF_THREADS / hardware); reference mode is one chain and "
+                 "needs 1");
   cli.add_option("--batch-size", &cfg.batch_size,
-                 "throughput mode: blocks per element pass and ring transfer");
+                 "throughput mode: blocks per ring transfer");
   cli.add_option("--backpressure", &cfg.default_capacity,
                  "default bounded-channel capacity in blocks");
   cli.add_option("--max-sessions", &cfg.max_sessions,
@@ -79,6 +81,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.throughput = mode == "throughput";
+  if (cfg.threads != 1 && !cfg.throughput) {
+    std::fprintf(stderr,
+                 "ffrelayd: --threads %zu needs --mode throughput: reference mode "
+                 "runs each session as one chain\n",
+                 cfg.threads);
+    return 2;
+  }
   if (once) cfg.max_sessions = 1;
   for (const std::string& s : sets) {
     ff::eval::HandlerWrite w;

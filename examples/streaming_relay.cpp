@@ -21,16 +21,17 @@
 // produces the same samples as the hand-wired construction
 // (tests/lang_test.cpp pins the checksum).
 //
-// Everything is deterministic: the output stream — and every stream.*
-// counter — is bit-identical for any --block-size and --threads choice
+// Everything is deterministic: the output stream is bit-identical for any
+// --block-size, --mode, --threads and --batch-size choice
 // (tests/stream_test.cpp holds the runtime to that), so the knobs trade
 // latency and memory against overhead without touching the physics.
 //
-// --mode selects the scheduler: 'reference' runs the deterministic
-// level-parallel rounds, 'throughput' cuts the graph into pinned per-core
-// element chains connected by lock-free SPSC rings (--batch-size blocks per
-// transfer, --pin-cores to bind workers). Both produce the same samples;
-// throughput mode exists for rate, not physics.
+// --mode selects the scheduler: 'reference' runs the graph as one chain in
+// deterministic rounds on the calling thread, 'throughput' cuts it into
+// --threads pinned per-core element chains connected by lock-free SPSC
+// rings (--batch-size blocks per transfer, --pin-cores to bind workers).
+// Both produce the same samples; throughput mode exists for rate, not
+// physics.
 //
 // Usage: streaming_relay [--block-size N] [--duration S] [--backpressure B]
 //                        [--threads T] [--mode reference|throughput]

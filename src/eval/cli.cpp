@@ -222,15 +222,16 @@ void StreamCli::register_options(Cli& cli, bool with_metrics_option) {
                  "bounded-channel capacity in blocks (smaller = tighter "
                  "memory bound, more producer stalls)");
   cli.add_option("--threads", &threads_,
-                 "scheduler worker threads (reference: level workers; "
-                 "throughput: pipeline chains; 0 = FF_THREADS / hardware)");
+                 "throughput mode: pipeline chains, one worker thread each "
+                 "(0 = FF_THREADS / hardware); reference mode is one chain "
+                 "and needs 1");
   cli.add_option("--mode", &mode_,
-                 "scheduler: 'reference' (deterministic level rounds) or "
-                 "'throughput' (pinned pipeline chains over SPSC rings; "
+                 "scheduler: 'reference' (one chain in deterministic rounds) "
+                 "or 'throughput' (pinned pipeline chains over SPSC rings; "
                  "same output, higher rate)");
   cli.add_option("--batch-size", &batch_size_,
-                 "throughput mode: blocks moved per element pass and per "
-                 "ring transfer (amortizes per-block overhead)");
+                 "throughput mode: blocks moved per ring transfer (amortizes "
+                 "the rings' index traffic)");
   cli.add_option("--precision", &precision_,
                  "sample-path arithmetic: 'f64' (the accuracy reference) or "
                  "'f32' (the mixed-precision fast path — double the SIMD "
@@ -286,6 +287,13 @@ bool StreamCli::validate() const {
   if (mode_ != "reference" && mode_ != "throughput") {
     std::fprintf(stderr, "--mode must be 'reference' or 'throughput' (got '%s')\n",
                  mode_.c_str());
+    ok = false;
+  }
+  if (threads_ != 1 && mode_ != "throughput") {
+    std::fprintf(stderr,
+                 "--threads %zu needs --mode throughput: reference mode runs the "
+                 "graph as one chain on the calling thread\n",
+                 threads_);
     ok = false;
   }
   if (batch_size_ == 0) {

@@ -207,8 +207,9 @@ class StreamCli {
   void register_options(Cli& cli, bool with_metrics_option = true);
 
   /// Range-check the parsed values (block size, queue capacity and batch
-  /// size >= 1, duration positive and finite, mode a known name, every
-  /// --set of the form elem.handler=value). Reports violations on stderr;
+  /// size >= 1, duration positive and finite, mode a known name, threads
+  /// other than 1 only with mode throughput, every --set of the form
+  /// elem.handler=value). Reports violations on stderr;
   /// callers exit non-zero when this returns false.
   bool validate() const;
 
@@ -216,6 +217,7 @@ class StreamCli {
   double duration_s() const { return duration_s_; }
   /// Bounded-channel capacity in blocks (the backpressure depth).
   std::size_t backpressure() const { return backpressure_; }
+  /// Throughput-mode pipeline chains (0 = auto); 1 in reference mode.
   std::size_t threads() const { return threads_; }
 
   /// Scheduler selection ("reference" | "throughput", validated).
@@ -228,7 +230,7 @@ class StreamCli {
   /// StreamCli validates the name, the host applies it.
   const std::string& precision() const { return precision_; }
   bool is_f32() const { return precision_ == "f32"; }
-  /// Throughput mode: blocks per work_batch pass and per ring transfer.
+  /// Throughput mode: blocks per ring transfer.
   std::size_t batch_size() const { return batch_size_; }
   /// Throughput mode: pin chain workers to cores (no-op where unsupported).
   bool pin_cores() const { return pin_cores_; }

@@ -89,77 +89,4 @@ OptResult nelder_mead(const Objective& f, std::vector<double> x0,
   return {simplex[best], values[best], iter};
 }
 
-OptResult gradient_descent(const Objective& f, std::vector<double> x0,
-                           const std::function<void(std::vector<double>&)>& project,
-                           const GradientOptions& opts) {
-  FF_CHECK(!x0.empty());
-  std::vector<double> x = std::move(x0);
-  if (project) project(x);
-  double fx = f(x);
-  const std::size_t n = x.size();
-  std::vector<double> grad(n);
-
-  std::size_t iter = 0;
-  for (; iter < opts.max_iterations; ++iter) {
-    // Central-difference gradient.
-    for (std::size_t d = 0; d < n; ++d) {
-      const double saved = x[d];
-      x[d] = saved + opts.fd_epsilon;
-      const double fp = f(x);
-      x[d] = saved - opts.fd_epsilon;
-      const double fm = f(x);
-      x[d] = saved;
-      grad[d] = (fp - fm) / (2.0 * opts.fd_epsilon);
-    }
-    double gnorm = 0.0;
-    for (const double g : grad) gnorm += g * g;
-    if (gnorm < 1e-24) break;
-
-    // Backtracking line search.
-    double step = opts.step;
-    bool improved = false;
-    for (int bt = 0; bt < 30; ++bt) {
-      std::vector<double> cand = x;
-      for (std::size_t d = 0; d < n; ++d) cand[d] -= step * grad[d];
-      if (project) project(cand);
-      const double fc = f(cand);
-      if (fc < fx - opts.tolerance) {
-        x = std::move(cand);
-        fx = fc;
-        improved = true;
-        break;
-      }
-      step *= 0.5;
-    }
-    if (!improved) break;
-  }
-  return {x, fx, iter};
-}
-
-double golden_section(const std::function<double(double)>& f, double lo, double hi,
-                      double tol) {
-  FF_CHECK(lo <= hi);
-  const double gr = (std::sqrt(5.0) - 1.0) / 2.0;
-  double a = lo, b = hi;
-  double c = b - gr * (b - a);
-  double d = a + gr * (b - a);
-  double fc = f(c), fd = f(d);
-  while (b - a > tol) {
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - gr * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + gr * (b - a);
-      fd = f(d);
-    }
-  }
-  return (a + b) / 2.0;
-}
-
 }  // namespace ff::opt

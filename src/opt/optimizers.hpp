@@ -1,12 +1,9 @@
 // Generic numerical optimizers.
 //
 // The CNF MIMO filter problem (Eq. 2 in the paper) is non-convex; the paper
-// solves it with a generic non-linear technique, and the digital/analog
-// filter-splitting problem (Sec. 3.4) with sequential convex programming.
-// These solvers provide the corresponding machinery: derivative-free
-// Nelder-Mead for the unitary-filter search, numerical-gradient ascent with
-// projection for refinement, and 1-D golden-section search for scalar tuning
-// (e.g. attenuator sweeps).
+// solves it with a generic non-linear technique. Derivative-free
+// Nelder-Mead is that technique here: relay/cnf_design.cpp runs it over a
+// Givens/phase parameterization of the unitary filter.
 #pragma once
 
 #include <functional>
@@ -31,25 +28,5 @@ struct OptResult {
 /// Minimize `f` starting from `x0` with the Nelder-Mead simplex method.
 OptResult nelder_mead(const Objective& f, std::vector<double> x0,
                       const NelderMeadOptions& opts = {});
-
-struct GradientOptions {
-  std::size_t max_iterations = 500;
-  double step = 0.1;
-  double fd_epsilon = 1e-6;   // central-difference step
-  double tolerance = 1e-12;   // stop when improvement drops below this
-};
-
-/// Minimize `f` by gradient descent with numerical central differences and
-/// backtracking line search. `project`, if given, is applied after each step
-/// (projected gradient for constrained problems); pass nullptr when
-/// unconstrained.
-OptResult gradient_descent(const Objective& f, std::vector<double> x0,
-                           const std::function<void(std::vector<double>&)>& project = nullptr,
-                           const GradientOptions& opts = {});
-
-/// Golden-section search for the minimum of a unimodal scalar function on
-/// [lo, hi].
-double golden_section(const std::function<double(double)>& f, double lo, double hi,
-                      double tol = 1e-9);
 
 }  // namespace ff::opt

@@ -60,6 +60,10 @@ RelayDaemon::RelayDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
   metrics_ = cfg_.metrics != nullptr ? cfg_.metrics : &own_metrics_;
   FF_CHECK_MSG(!cfg_.graph_text.empty(), "RelayDaemon: empty graph description");
   FF_CHECK_MSG(cfg_.batch_size >= 1, "RelayDaemon: batch_size must be >= 1");
+  FF_CHECK_MSG(cfg_.throughput || cfg_.threads == 1,
+               "RelayDaemon: threads = " << cfg_.threads
+                                         << " needs throughput mode: reference mode runs "
+                                            "each session as one chain");
   spec_ = stream::parse_graph(cfg_.graph_text, cfg_.graph_source);
 
   // Probe build: instantiate + configure the whole graph (and apply the

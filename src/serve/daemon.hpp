@@ -76,6 +76,9 @@ struct DaemonConfig {
   /// watchdog is disabled: a daemon session idling on a quiet peer is
   /// normal, not a deadlock.
   bool throughput = false;
+  /// Throughput mode: pipeline chains per session (0 = FF_THREADS /
+  /// hardware). Reference mode runs each session as one chain and requires
+  /// 1 (FF_CHECKed at construction).
   std::size_t threads = 1;
   std::size_t batch_size = 1;
   std::size_t default_capacity = stream::Graph::kDefaultChannelCapacity;

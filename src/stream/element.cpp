@@ -237,31 +237,6 @@ bool Transform::work() {
   return moved;
 }
 
-bool Transform::work_batch(std::size_t max_blocks) {
-  // Pending positioned writes force the per-block path: a write position
-  // must be able to split the exact block containing it.
-  if (max_blocks <= 1 || !writes_.empty()) return work();
-  bool moved = false;
-  for (;;) {
-    std::size_t n = in_count(0);
-    const std::size_t space = out_space(0);
-    if (n > max_blocks) n = max_blocks;
-    if (n > space) n = space;  // never pop what cannot be re-emitted
-    if (n == 0) break;
-    batch_.clear();
-    for (std::size_t i = 0; i < n; ++i) batch_.push_back(pop(0));
-    {
-      MetricsRegistry::ScopedTimer timer(metrics(), block_timer_name());
-      process_batch(std::span<Block>(batch_));
-    }
-    for (Block& b : batch_) emit(0, std::move(b));
-    moved = true;
-  }
-  if (in_available(0) && !out_ready(0)) note_stall();
-  if (in_drained(0)) close_outputs();
-  return moved;
-}
-
 // ---------------------------------------------------------------- Combine2
 
 bool Combine2::work() {

@@ -8,21 +8,20 @@
 // moved. A full output channel is backpressure: the element simply leaves
 // its input queued and reports a stall — nothing is ever dropped.
 //
-// Determinism contract (what makes multi-threaded runs bit-identical):
+// Determinism contract (what makes every schedule bit-identical):
 //   * an element touches only its own state and its own channels;
-//   * a channel has exactly one producer and one consumer, and the Graph's
-//     level schedule never runs both in the same parallel region;
+//   * a channel has exactly one producer and one consumer, and the
+//     Scheduler runs each element on exactly one thread at a time;
 //   * all randomness is owned per-element and consumed in sample order.
 // Under that contract the sample stream an element emits depends only on
-// the graph and its configuration — not on thread count, and (for the
-// provided elements, which wrap push()-style stateful kernels) not on how
-// the stream is cut into blocks.
+// the graph and its configuration — not on the scheduler mode, chain count
+// or batch size, and (for the provided elements, which wrap push()-style
+// stateful kernels) not on how the stream is cut into blocks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -98,7 +97,7 @@ class Element {
 
   /// Queue a write handler to fire at exact input-stream position `pos`:
   /// the element splits the enclosing block so the write lands between
-  /// samples pos-1 and pos, regardless of block size, batch size, thread
+  /// samples pos-1 and pos, regardless of block size, batch size, chain
   /// count or scheduler mode — the determinism contract for live retunes
   /// (docs/STREAMING.md). A position already consumed applies at the next
   /// block boundary; one at/after end-of-stream never fires. FF_CHECKs the
@@ -114,27 +113,13 @@ class Element {
   /// blocking. Returns true when any block was consumed or emitted.
   virtual bool work() = 0;
 
-  /// Batched scheduling opportunity for the throughput-mode pipeline
-  /// scheduler: process up to `max_blocks` blocks per inner pass so
-  /// per-block overhead (virtual dispatch, timer scopes, channel
-  /// bookkeeping) is amortized. The default simply runs work() — which
-  /// already moves everything movable — so every element supports batching;
-  /// Transform overrides it with a real span-of-blocks path
-  /// (process_batch). Whatever the batch size, blocks are processed in
-  /// FIFO order through the same per-block state updates, so the sample
-  /// stream is bit-identical to the unbatched path.
-  virtual bool work_batch(std::size_t max_blocks) {
-    (void)max_blocks;
-    return work();
-  }
-
   /// True when the element's last work() ended idle waiting on an EXTERNAL
   /// peer (e.g. a socket with no frame ready) rather than on another
-  /// element. Both schedulers use it to tell "idle" from "wedged": the
+  /// element. Both scheduler modes use it to tell "idle" from "wedged": the
   /// reference mode's stuck-graph check tolerates a round that moved
   /// nothing while some element waits externally, and the throughput
   /// watchdog keeps ticking. Such elements must throttle themselves (poll
-  /// with a timeout) — the schedulers will call work() again immediately.
+  /// with a timeout) — the scheduler will call work() again immediately.
   /// Note this makes scheduling observables (round counts, stall counters)
   /// timing-dependent for graphs containing such elements; sample streams
   /// stay deterministic.
@@ -169,13 +154,6 @@ class Element {
 
   // ---- channel access for concrete elements -------------------------
   bool in_available(std::size_t port) const { return !inputs_[port]->empty(); }
-  /// Blocks currently queued on an input.
-  std::size_t in_count(std::size_t port) const { return inputs_[port]->fifo.size(); }
-  /// Blocks an output can accept right now (0 when full or closed).
-  std::size_t out_space(std::size_t port) const {
-    const Channel& ch = *outputs_[port];
-    return ch.closed || ch.fifo.size() >= ch.capacity ? 0 : ch.capacity - ch.fifo.size();
-  }
   /// Upstream closed and everything consumed: this input is finished.
   bool in_drained(std::size_t port) const { return inputs_[port]->drained(); }
   /// Output can accept a block right now.
@@ -258,18 +236,11 @@ class Source : public Element {
 /// Convenience base for 1-in/1-out transforms: pops a block, processes it
 /// in place (stateful kernels keep their own delay lines, so block
 /// boundaries are invisible), re-emits it, and propagates end-of-stream.
-///
-/// work_batch() is the amortized variant: it pops up to max_blocks blocks
-/// at once, hands them to process_batch() as one span, and emits them all.
-/// The default process_batch loops process() block by block — bit-identical
-/// to work() by construction — while elements with real batch leverage
-/// (contiguous-buffer kernels, one timer scope per batch) can override it.
 class Transform : public Element {
  public:
   explicit Transform(std::string name) : Element(std::move(name), 1, 1) {}
 
   bool work() final;
-  bool work_batch(std::size_t max_blocks) override;
 
   /// Transforms apply write_at() queues sample-exactly: the block containing
   /// a queued position is processed as split sub-blocks around it, with the
@@ -280,19 +251,12 @@ class Transform : public Element {
 
  protected:
   virtual void process(Block& block) = 0;
-  /// Process a run of consecutive blocks (stream order). Must equal
-  /// calling process() on each block in sequence, bit for bit.
-  virtual void process_batch(std::span<Block> blocks) {
-    for (Block& b : blocks) process(b);
-  }
 
  private:
   /// process(), with any due positioned writes applied sample-exactly
   /// (splits the block when a write position falls inside it). The
   /// writes_-empty fast path is a single branch on top of process().
   void process_with_writes(Block& block);
-
-  std::vector<Block> batch_;  // work_batch staging (reused across calls)
 };
 
 /// Convenience base for aligned 2-in/1-out combiners (adders, cancellers).

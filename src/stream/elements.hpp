@@ -165,8 +165,11 @@ class CfoElement : public Transform {
 };
 
 /// The relay's forward path (relay::ForwardPipeline) as a stream stage:
-/// CFO remove -> digital CNF -> CFO restore -> amplify -> analog CNF ->
-/// TX filter / bulk delay, all stateful across blocks.
+/// one composite FIR — CFO remove, digital CNF, CFO restore, gain, analog
+/// CNF rotation and TX filter folded into one set of taps (relay/pipeline.hpp
+/// derives it) — then the ADC/DAC + buffering delay FIFO; with
+/// restore_cfo=false one output rotator follows the FIR. Stateful across
+/// blocks.
 /// Params: rate, adc_dac_delay, extra_buffer, cfo_hz, restore_cfo,
 /// prefilter (complex list), analog_rotation, gain_db, tx_filter
 /// (complex list), scrub_nonfinite, precision (f64 | f32 — the
@@ -338,9 +341,6 @@ class Queue : public Transform {
 
  protected:
   void process(Block&) override {}
-  /// A queue moves blocks untouched, so the batch path needs no per-block
-  /// virtual calls at all — the cheapest possible process_batch.
-  void process_batch(std::span<Block>) override {}
 };
 
 /// Copies each input block to every output (the stream equivalent of a

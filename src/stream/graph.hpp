@@ -4,10 +4,10 @@
 // joins an output port to an input port through a bounded channel;
 // validate() then checks the wiring is complete (every port connected
 // exactly once), names are unique (they key the stream.* metrics), and the
-// graph is acyclic — and computes the level schedule the Scheduler runs:
-// level(e) = 0 for sources, else 1 + max(level of upstream). Because every
-// channel crosses from a lower level to a strictly higher one, elements
-// within one level share no state and can run concurrently.
+// graph is acyclic — and computes the topological order the Scheduler runs
+// and cuts into chains: elements sorted by level(e) = 0 for sources, else
+// 1 + max(level of upstream), insertion order within a level. Every channel
+// points forward in that order.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +48,8 @@ class Graph {
   void connect(Element& from, std::size_t out_port, Element& to, std::size_t in_port,
                std::size_t capacity = kDefaultChannelCapacity);
 
-  /// Check wiring, name uniqueness and acyclicity; build the level
-  /// schedule. Throws (FF_CHECK) with the offending element named on any
+  /// Check wiring, name uniqueness and acyclicity; build the topological
+  /// order. Throws (FF_CHECK) with the offending element named on any
   /// violation. Idempotent; Scheduler::run calls it if needed.
   void validate();
   bool validated() const { return validated_; }
@@ -75,16 +75,12 @@ class Graph {
   /// Every channel closed and empty: the run is complete.
   bool finished() const;
 
-  /// The level schedule (valid after validate()): levels in topological
-  /// order, elements within a level in insertion order.
-  const std::vector<std::vector<Element*>>& levels() const { return levels_; }
   const std::vector<std::unique_ptr<Channel>>& channels() const { return channels_; }
 
-  /// Elements flattened in (level, insertion) topological order — every
-  /// channel points forward in this sequence. This is the order the
-  /// throughput scheduler cuts into contiguous chains. Valid after
-  /// validate().
-  std::vector<Element*> topo_order() const;
+  /// Elements in (level, insertion) topological order — every channel
+  /// points forward in this sequence. This is the order the Scheduler runs
+  /// each round and cuts into contiguous chains. Valid after validate().
+  const std::vector<Element*>& topo_order() const;
 
   /// Install a telemetry sink on every element (nullptr = record nothing).
   void set_metrics(MetricsRegistry* metrics);
@@ -92,12 +88,12 @@ class Graph {
  private:
   void invalidate() {
     validated_ = false;
-    levels_.clear();
+    order_.clear();
   }
 
   std::vector<std::unique_ptr<Element>> elements_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  std::vector<std::vector<Element*>> levels_;
+  std::vector<Element*> order_;
   bool validated_ = false;
 };
 

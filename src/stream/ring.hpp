@@ -1,12 +1,12 @@
 // Lock-free single-producer single-consumer ring buffer: the channel
 // transport of the throughput-mode pipeline scheduler (scheduler.hpp).
 //
-// The reference scheduler moves blocks through plain deque channels because
-// its level-barrier guarantees a channel's producer and consumer never run
-// concurrently. The pipeline scheduler drops that barrier — each element
-// chain runs on its own long-lived thread — so every chain-crossing edge
-// needs a queue that is safe with exactly one producer thread and one
-// consumer thread and costs nanoseconds, not locks, per transfer:
+// Within one chain, blocks move through plain deque channels: a chain's
+// elements run on one thread, so a channel's producer and consumer never
+// run concurrently. In throughput mode each chain runs on its own
+// long-lived thread, so every chain-crossing edge needs a queue that is
+// safe with exactly one producer thread and one consumer thread and costs
+// nanoseconds, not locks, per transfer:
 //
 //   * power-of-two capacity, monotonically increasing head/tail counts
 //     masked into the slot array (wraparound never needs a branch);
@@ -18,9 +18,9 @@
 //     pops touch no cache line the other core is writing;
 //   * head, tail, and the per-side working sets live on separate
 //     cache-line-aligned storage (no false sharing / line ping-pong);
-//   * batch transfer (`try_push_batch` / `try_pop_batch`) moves up to
+//   * every transfer (`try_push_batch` / `try_pop_batch`) moves up to
 //     batch_size items under a single index publication, amortizing the
-//     atomic traffic the same way work_batch amortizes element overhead.
+//     atomic traffic over the batch.
 //
 // Close semantics mirror stream::Channel: the producer calls close() after
 // its final push; `drained()` on the consumer side (closed and empty) means
@@ -118,29 +118,11 @@ class SpscRing {
 
   // ---- producer side (exactly one thread) ---------------------------
 
-  /// Push one item; false when the ring is full. Must not be called after
-  /// close() (FF_CHECK-enforced via a producer-local flag: close() is a
-  /// producer-side call, so the check needs no atomic and costs one
-  /// predictable branch on an already-hot line).
-  bool try_push(T&& v) {
-    FF_CHECK_MSG(!prod_.closed, "SpscRing: try_push after close()");
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - prod_.cached_head >= capacity()) {
-      prod_.cached_head = head_.load(std::memory_order_acquire);
-      if (tail - prod_.cached_head >= capacity()) {
-        ++prod_.stalls;
-        return false;
-      }
-    }
-    slots_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
-    const std::size_t depth = tail + 1 - prod_.cached_head;
-    if (depth > prod_.depth_peak) prod_.depth_peak = depth;
-    return true;
-  }
-
-  /// Move up to `n` items from `src` into the ring under one tail
-  /// publication; returns how many were taken (a full ring takes fewer).
+  /// Move up to `n` items, each produced by `pop_front()`, into the ring
+  /// under one tail publication; returns how many were taken (a full ring
+  /// takes fewer). Must not be called after close() (FF_CHECK-enforced via
+  /// a producer-local flag: close() is a producer-side call, so the check
+  /// needs no atomic).
   template <typename PopFront>
   std::size_t try_push_batch(std::size_t n, PopFront&& pop_front) {
     FF_CHECK_MSG(!prod_.closed, "SpscRing: try_push_batch after close()");
@@ -177,21 +159,6 @@ class SpscRing {
   std::uint64_t producer_stalls() const { return prod_.stalls; }
 
   // ---- consumer side (exactly one thread) ---------------------------
-
-  /// Pop one item; false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (cons_.cached_tail == head) {
-      cons_.cached_tail = tail_.load(std::memory_order_acquire);
-      if (cons_.cached_tail == head) {
-        ++cons_.stalls;
-        return false;
-      }
-    }
-    out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
 
   /// Pop up to `n` items under one head publication, handing each to
   /// `sink(T&&)`; returns how many moved.
@@ -242,7 +209,7 @@ class SpscRing {
     std::size_t cached_head = 0;
     std::size_t depth_peak = 0;
     std::uint64_t stalls = 0;
-    bool closed = false;  // producer-thread mirror of closed_ for try_push checks
+    bool closed = false;  // producer-thread mirror of closed_ for the push check
   };
   struct alignas(kCacheLine) ConsumerSide {
     std::size_t cached_tail = 0;

@@ -1,41 +1,40 @@
-// Schedulers for element graphs: a deterministic reference mode and a
-// pinned-pipeline throughput mode over the same Graph.
+// The stream Scheduler: one execution model over a Graph, in two modes.
 //
-// Reference (SchedulerMode::kReference) — execution proceeds in rounds.
-// Within a round every level of the graph is visited in topological order
-// and each element gets one work() opportunity; within one level the
-// elements share no state (graph.hpp), so with threads > 1 a level runs
-// under common/parallel's worker pool. The round/level structure — and
-// therefore every element's state trajectory — is a function of the graph
-// alone, so output streams and stream.* metric values are bit-identical at
-// any thread count. The run ends when every channel is closed and drained;
-// a round that moves nothing earlier than that is a stuck graph and fails
-// crisply.
+// Scheduler::run validates the graph, takes its topological order
+// (Graph::topo_order) and cuts it into contiguous chains. Every channel
+// whose endpoints land in different chains is bridged by a lock-free SPSC
+// ring (ring.hpp). One pass over a chain fills its inbound rings into the
+// consumers' stub channels, gives each of its elements one work()
+// opportunity in order, and drains its outbound channels into their rings.
+// The two modes differ only in how many chains there are and who runs
+// their passes:
 //
-// Throughput (SchedulerMode::kThroughput) — the graph is partitioned into
-// contiguous element chains (contiguous cuts of the topological order), and
-// each chain runs on its own long-lived worker thread (optionally pinned to
-// a core). Chain-crossing channels are bridged by lock-free SPSC rings
-// (ring.hpp), so blocks flow end to end with no global barrier: while chain
-// 0 generates block k, chain 1 filters block k-1 and chain 2 decodes block
-// k-2. Elements run their work_batch() path, and rings transfer up to
-// batch_size blocks per index publication, amortizing per-block overhead.
-// Output is still bit-identical to the reference mode — determinism comes
-// from the graph's dataflow (each element processes its input FIFO in order
-// on exactly one thread), not from the round structure — but *scheduling*
-// observables (queue depth peaks, stall counts, rounds) become
-// timing-dependent; see docs/OBSERVABILITY.md for which stream.* metrics
-// stay comparable. A wall-clock progress watchdog converts deadlocked
-// graphs (the pipeline analog of the reference mode's stuck-graph round)
-// into a crisp error carrying every ring's occupancy.
+// Reference (SchedulerMode::kReference) — exactly one chain, run inline on
+// the calling thread, one pass per round. The round structure — and so
+// every element's state trajectory, the queue depth peaks and the round
+// count — is a function of the graph alone. on_round fires after every
+// round at a quiescent point. The run ends when every channel is closed and
+// drained; a round that moves nothing earlier than that is a stuck graph
+// and fails crisply.
+//
+// Throughput (SchedulerMode::kThroughput) — `threads` chains, each on its
+// own long-lived worker thread (optionally pinned to a core), with no
+// global barrier: while chain 0 generates block k, chain 1 filters block
+// k-1 and chain 2 decodes block k-2. Rings move up to batch_size blocks per
+// index publication. Output is bit-identical to the reference mode —
+// determinism comes from the graph's dataflow (each element processes its
+// input FIFOs in order on exactly one thread), not from the round
+// structure — but *scheduling* observables (queue depth peaks, stall
+// counts) become timing-dependent; see docs/OBSERVABILITY.md for which
+// stream.* metrics stay comparable. A wall-clock progress watchdog converts
+// deadlocked graphs into a crisp error carrying every ring's occupancy.
 //
 // Telemetry (when a registry is injected): per-element block/sample
 // counters and per-block latency timers recorded by the elements
 // themselves, per-channel peak-occupancy gauges
 // (stream.<consumer>.in<port>.depth_peak), stall counters, and
 // stream.scheduler.rounds (reference) / stream.scheduler.chains plus
-// stream.ring.* (throughput). Never record thread counts — reference-mode
-// reports must stay byte-comparable across them (docs/OBSERVABILITY.md).
+// stream.ring.* (throughput).
 #pragma once
 
 #include <cstdint>
@@ -46,14 +45,14 @@
 namespace ff::stream {
 
 enum class SchedulerMode {
-  kReference,   ///< deterministic level-parallel rounds (the bit-exact baseline)
+  kReference,   ///< one chain in deterministic rounds (the bit-exact baseline)
   kThroughput,  ///< pinned per-core element chains over lock-free SPSC rings
 };
 
 struct SchedulerConfig {
-  /// Reference mode: worker threads for level execution (1 = fully serial).
-  /// Throughput mode: number of pipeline chains / dedicated worker threads.
-  /// 0 = the common/parallel default (FF_THREADS / hardware concurrency).
+  /// Throughput mode: number of pipeline chains / dedicated worker threads
+  /// (0 = the common/parallel default, FF_THREADS / hardware concurrency).
+  /// Reference mode is one chain on the calling thread and requires 1.
   std::size_t threads = 1;
   /// Optional telemetry sink, installed on every element for the run.
   MetricsRegistry* metrics = nullptr;
@@ -66,17 +65,13 @@ struct SchedulerConfig {
   /// reference; kThroughput must reproduce its output bit-for-bit
   /// (tests/stream_test.cpp holds it to that).
   SchedulerMode mode = SchedulerMode::kReference;
-  /// Throughput mode: blocks per work_batch() pass and per ring transfer.
-  /// 1 = no batching. Larger batches amortize per-block overhead at the
-  /// cost of pipeline latency; output samples never change.
+  /// Throughput mode: blocks moved per ring transfer. 1 = no batching.
+  /// Larger batches amortize the rings' index traffic at the cost of
+  /// pipeline latency; output samples never change.
   std::size_t batch_size = 1;
   /// Throughput mode: pin chain k's worker to visible core k (mod core
   /// count) via common/affinity. Graceful no-op where unsupported.
   bool pin_cores = false;
-  /// Throughput mode: minimum SPSC ring capacity in blocks (rounded up to
-  /// a power of two). 0 = derived per bridge from the bridged channel's
-  /// capacity and batch_size.
-  std::size_t ring_capacity = 0;
   /// Throughput mode stuck-graph watchdog: abort when no block moves
   /// across any ring (and no chain makes local progress) for this long.
   /// The error lists per-chain ring occupancies. 0 = disabled.
@@ -86,10 +81,9 @@ struct SchedulerConfig {
   /// number) at the global quiescent point — no element is mid-work, so
   /// this is the safe place to call live read/write handlers
   /// (Graph::handler) or queue positioned writes. Must not change the
-  /// graph topology. The round structure is thread-count independent, so
-  /// handler calls made here keep the determinism contract. Throughput
-  /// mode has no global quiescent point and FF_CHECKs this is empty —
-  /// use Element::write_at for sample-exact writes there.
+  /// graph topology. Throughput mode has no global quiescent point and
+  /// FF_CHECKs this is empty — use Element::write_at for sample-exact
+  /// writes there.
   std::function<void(std::uint64_t round)> on_round;
 };
 
@@ -106,9 +100,6 @@ class Scheduler {
   const SchedulerConfig& config() const { return cfg_; }
 
  private:
-  std::uint64_t run_reference();
-  std::uint64_t run_throughput();  // pipeline_scheduler.cpp
-
   Graph& graph_;
   SchedulerConfig cfg_;
 };

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <string>
+#include <vector>
 
 #include "eval/cli.hpp"
 
@@ -163,6 +165,27 @@ TEST(StreamCli, ValidateRejectsDegenerateValues) {
   EXPECT_FALSE(parse_one("--batch-size=0"));
   EXPECT_TRUE(parse_one("--block-size=1"));
   EXPECT_TRUE(parse_one("--mode=throughput"));
+}
+
+TEST(StreamCli, ThreadsOtherThanOneNeedThroughputMode) {
+  // Reference mode is one chain on the calling thread; any other --threads
+  // value names throughput chains and needs --mode throughput.
+  const auto validate = [](std::vector<std::string> args) {
+    StreamCli stream;
+    Cli cli("test", "test program");
+    stream.register_options(cli);
+    std::string arg0 = "test";
+    std::vector<char*> argv{arg0.data()};
+    for (std::string& a : args) argv.push_back(a.data());
+    EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    return stream.validate();
+  };
+  EXPECT_FALSE(validate({"--threads=4"}));
+  EXPECT_FALSE(validate({"--threads=4", "--mode=reference"}));
+  EXPECT_FALSE(validate({"--threads=0"}));
+  EXPECT_TRUE(validate({"--threads=4", "--mode=throughput"}));
+  EXPECT_TRUE(validate({"--threads=0", "--mode=throughput"}));
+  EXPECT_TRUE(validate({"--threads=1"}));
 }
 
 TEST(StreamCli, GraphAndSetOptions) {

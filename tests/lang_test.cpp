@@ -617,18 +617,15 @@ TEST(LangWriteHandlers, PositionedWritesDeterministicAcrossBlockThreadsModes) {
 
   for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                                   std::size_t{256}, std::size_t{4096}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SchedulerConfig ref;
-      ref.threads = threads;
-      EXPECT_EQ(run_write_grid_session(data, block, ref), baseline)
-          << "reference block=" << block << " threads=" << threads;
-
+    EXPECT_EQ(run_write_grid_session(data, block, SchedulerConfig{}), baseline)
+        << "reference block=" << block;
+    for (const std::size_t chains : {std::size_t{1}, std::size_t{4}}) {
       SchedulerConfig thr;
       thr.mode = stream::SchedulerMode::kThroughput;
-      thr.threads = threads;
+      thr.threads = chains;
       thr.batch_size = 4;
       EXPECT_EQ(run_write_grid_session(data, block, thr), baseline)
-          << "throughput block=" << block << " threads=" << threads;
+          << "throughput block=" << block << " chains=" << chains;
     }
   }
 }

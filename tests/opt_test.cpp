@@ -55,34 +55,5 @@ TEST(NelderMead, MaximizesDeterminantProxy) {
   EXPECT_NEAR(-r.value, 3.5, 1e-6);
 }
 
-TEST(GradientDescent, MinimizesQuadratic) {
-  const auto f = [](const std::vector<double>& x) { return sq(x[0] - 1.0) + sq(x[1] - 2.0); };
-  const auto r = opt::gradient_descent(f, {10.0, -10.0});
-  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.x[1], 2.0, 1e-3);
-}
-
-TEST(GradientDescent, RespectsProjection) {
-  // Constrain to the non-negative orthant; the unconstrained optimum is
-  // at (-2, 3), so the projected solution should sit at (0, 3).
-  const auto f = [](const std::vector<double>& x) { return sq(x[0] + 2.0) + sq(x[1] - 3.0); };
-  const auto project = [](std::vector<double>& x) {
-    for (double& v : x) v = std::max(v, 0.0);
-  };
-  const auto r = opt::gradient_descent(f, {5.0, 5.0}, project);
-  EXPECT_NEAR(r.x[0], 0.0, 1e-6);
-  EXPECT_NEAR(r.x[1], 3.0, 1e-3);
-}
-
-TEST(GoldenSection, FindsMinimumOfConvexScalar) {
-  const auto f = [](double x) { return (x - 0.7) * (x - 0.7) + 2.0; };
-  EXPECT_NEAR(opt::golden_section(f, -10.0, 10.0), 0.7, 1e-6);
-}
-
-TEST(GoldenSection, WorksOnAsymmetricFunction) {
-  const auto f = [](double x) { return std::exp(x) - 3.0 * x; };
-  EXPECT_NEAR(opt::golden_section(f, 0.0, 5.0), std::log(3.0), 1e-6);
-}
-
 }  // namespace
 }  // namespace ff

@@ -14,6 +14,18 @@
 namespace ff::stream {
 namespace {
 
+// Single-item push/pop spelled with the batch operations (n = 1), the only
+// transfers the ring offers.
+template <typename T>
+bool push1(SpscRing<T>& ring, T v) {
+  return ring.try_push_batch(1, [&] { return v; }) == 1;
+}
+
+template <typename T>
+bool pop1(SpscRing<T>& ring, T& out) {
+  return ring.try_pop_batch(1, [&](T&& v) { out = v; }) == 1;
+}
+
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ring_capacity_for(1), 1u);
   EXPECT_EQ(ring_capacity_for(2), 2u);
@@ -37,13 +49,13 @@ TEST(SpscRing, CapacityRequestsBeyondMaxAreRejected) {
 
 TEST(SpscRing, PushAfterCloseIsAContractViolation) {
   SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.try_push(1));
+  ASSERT_TRUE(push1(ring, 1));
   ring.close();
-  EXPECT_THROW(ring.try_push(2), std::logic_error);
+  EXPECT_THROW(push1(ring, 2), std::logic_error);
   EXPECT_THROW(ring.try_push_batch(1, [] { return 3; }), std::logic_error);
   // Draining the closed ring still works.
   int out = 0;
-  EXPECT_TRUE(ring.try_pop(out));
+  EXPECT_TRUE(pop1(ring, out));
   EXPECT_EQ(out, 1);
   EXPECT_TRUE(ring.drained());
 }
@@ -53,25 +65,25 @@ TEST(SpscRing, FullAndEmptyBoundaries) {
   EXPECT_TRUE(ring.empty());
 
   int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));  // empty pop fails
+  EXPECT_FALSE(pop1(ring, out));  // empty pop fails
   EXPECT_EQ(ring.consumer_stalls(), 1u);
 
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(push1(ring, int{i}));
   EXPECT_EQ(ring.size(), 4u);
-  EXPECT_FALSE(ring.try_push(99));  // full push fails
+  EXPECT_FALSE(push1(ring, 99));  // full push fails
   EXPECT_EQ(ring.producer_stalls(), 1u);
   EXPECT_EQ(ring.depth_peak(), 4u);
 
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
+    ASSERT_TRUE(pop1(ring, out));
     EXPECT_EQ(out, i);  // FIFO order
   }
-  EXPECT_FALSE(ring.try_pop(out));
+  EXPECT_FALSE(pop1(ring, out));
   EXPECT_TRUE(ring.empty());
 
   // Freed space is immediately reusable.
-  EXPECT_TRUE(ring.try_push(7));
-  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_TRUE(push1(ring, 7));
+  ASSERT_TRUE(pop1(ring, out));
   EXPECT_EQ(out, 7);
 }
 
@@ -81,9 +93,9 @@ TEST(SpscRing, WraparoundPreservesFifoOrder) {
   SpscRing<int> ring(4);
   int next_push = 0, next_pop = 0;
   while (next_pop < 1000) {
-    while (next_push < 1000 && ring.try_push(int{next_push})) ++next_push;
+    while (next_push < 1000 && push1(ring, int{next_push})) ++next_push;
     int out = -1;
-    while (ring.try_pop(out)) {
+    while (pop1(ring, out)) {
       ASSERT_EQ(out, next_pop);
       ++next_pop;
     }
@@ -116,20 +128,20 @@ TEST(SpscRing, CloseAndDrainSemantics) {
   EXPECT_FALSE(ring.closed());
   EXPECT_FALSE(ring.drained());  // open ring is never drained
 
-  ASSERT_TRUE(ring.try_push(1));
-  ASSERT_TRUE(ring.try_push(2));
+  ASSERT_TRUE(push1(ring, 1));
+  ASSERT_TRUE(push1(ring, 2));
   ring.close();
   ring.close();  // idempotent
   EXPECT_TRUE(ring.closed());
   EXPECT_FALSE(ring.drained());  // closed but not yet empty
 
   int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(pop1(ring, out));
   EXPECT_EQ(out, 1);
-  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(pop1(ring, out));
   EXPECT_EQ(out, 2);
   EXPECT_TRUE(ring.drained());  // closed and empty: final
-  EXPECT_FALSE(ring.try_pop(out));
+  EXPECT_FALSE(pop1(ring, out));
 }
 
 TEST(SpscRing, SpinBackoffCountsAndResets) {
@@ -155,7 +167,7 @@ TEST(SpscRing, TwoThreadSoakDeliversEverythingInOrder) {
     while (next < kItems) {
       std::size_t pushed;
       if (next % 3 == 0) {
-        pushed = ring.try_push(std::uint64_t{next}) ? 1 : 0;
+        pushed = push1(ring, std::uint64_t{next}) ? 1 : 0;
         next += pushed;
       } else {
         const std::uint64_t want =
@@ -178,7 +190,7 @@ TEST(SpscRing, TwoThreadSoakDeliversEverythingInOrder) {
     std::size_t got;
     if (expected % 2 == 0) {
       std::uint64_t v = 0;
-      got = ring.try_pop(v) ? 1 : 0;
+      got = pop1(ring, v) ? 1 : 0;
       if (got) in_order &= (v == expected++);
     } else {
       got = ring.try_pop_batch(7, [&](std::uint64_t&& v) {

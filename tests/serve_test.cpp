@@ -815,6 +815,16 @@ TEST(RelayDaemon, ConstructorRejectsBadGraphsAndPresets) {
   noep.graph_text = "in :: SocketSource();\nin -> NullSink();\n";
   noep.log = [](const std::string&) {};
   EXPECT_THROW(serve::RelayDaemon{noep}, std::logic_error);
+
+  // Several threads per session are throughput chains: reference mode is
+  // one chain, so the config is refused up front, not at the first client.
+  serve::DaemonConfig threads;
+  threads.graph_text = "src :: VectorSource(data=(1,0), block=1);\nsrc -> NullSink();\n";
+  threads.log = [](const std::string&) {};
+  threads.threads = 4;
+  EXPECT_THROW(serve::RelayDaemon{threads}, std::logic_error);
+  threads.throughput = true;
+  EXPECT_NO_THROW(serve::RelayDaemon{threads});
 }
 
 TEST(RelayDaemon, RunsSocketlessGraphsBackToBack) {

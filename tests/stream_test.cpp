@@ -1,5 +1,5 @@
 // Streaming element-graph runtime tests: graph validation, the block-size
-// and thread-count invariance contract (streaming output must be
+// and chain-count invariance contract (streaming output must be
 // bit-identical to the batch path no matter how the stream is blocked or
 // scheduled), and bounded-queue backpressure (saturation degrades
 // throughput, never correctness).
@@ -42,7 +42,7 @@ using stream::Scheduler;
 using stream::SchedulerConfig;
 
 constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
-constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+constexpr std::size_t kChainCounts[] = {1, 2, 4};  // throughput mode
 
 CVec random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -61,6 +61,12 @@ double gauge_value(const MetricsSnapshot& snap, const std::string& name) {
   for (const auto& m : snap.gauges)
     if (m.name == name) return m.value;
   return -1.0;
+}
+
+std::uint64_t timer_count(const MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& m : snap.timers)
+    if (m.name == name) return m.count;
+  return 0;
 }
 
 /// Run `data` through a single transform element at the given block size
@@ -135,8 +141,9 @@ TEST(StreamGraph, LevelsFollowLongestPath) {
   g.connect(*add, 0, *sink, 0);
   g.validate();
   // src=0, tee=1, q=2, add=3 (longest path through q), sink=4.
-  ASSERT_EQ(g.levels().size(), 5u);
-  for (const auto& level : g.levels()) EXPECT_EQ(level.size(), 1u);
+  std::vector<std::string> order;
+  for (const stream::Element* e : g.topo_order()) order.push_back(e->name());
+  EXPECT_EQ(order, (std::vector<std::string>{"src", "tee", "q", "add", "sink"}));
 }
 
 TEST(StreamCombine, RejectsMisalignedStreams) {
@@ -350,7 +357,7 @@ TEST(StreamGate, OpensOnSignatureAndIsBlockSizeInvariant) {
   for (const Complex s : sink->samples()) ASSERT_EQ(s, Complex{});
 }
 
-// ------------------------------------------ composite graph, threads x bs
+// ------------------------------------------- composite graph, chains x bs
 
 struct CompositeResult {
   CVec out;
@@ -358,7 +365,14 @@ struct CompositeResult {
   std::uint64_t sink_samples = 0;
   double depth_peak = -1.0;
   std::uint64_t retunes = 0;  // chan_rd's drift steps: element-state probe
+  std::uint64_t relay_blocks = 0;    // stream.relay.blocks
+  std::uint64_t relay_timed = 0;     // observations of stream.relay.block_us
 };
+
+/// The reference schedule of run_composite(64, 1): its round count and the
+/// peak depth of add's relay-side input.
+constexpr std::uint64_t kCompositeRounds64 = 5;
+constexpr double kCompositeDepthPeak64 = 8.0;
 
 /// Scheduler selection for run_composite (reference rounds by default).
 struct CompositeExec {
@@ -436,6 +450,8 @@ CompositeResult run_composite(std::size_t block_size, std::size_t threads,
   const auto snap = metrics.snapshot();
   r.sink_samples = counter_value(snap, "stream.sink.samples");
   r.depth_peak = gauge_value(snap, "stream.add.in1.depth_peak");
+  r.relay_blocks = counter_value(snap, "stream.relay.blocks");
+  r.relay_timed = timer_count(snap, "stream.relay.block_us");
   return r;
 }
 
@@ -443,20 +459,25 @@ TEST(StreamInvariance, CompositeGraphIsThreadAndBlockSizeInvariant) {
   const CompositeResult reference = run_composite(64, 1);
   ASSERT_GT(reference.out.size(), 0u);
   EXPECT_EQ(reference.sink_samples, reference.out.size());
+  // The reference schedule is a function of the graph alone: these are the
+  // round count and queue peak of the 64-sample run.
+  EXPECT_EQ(reference.rounds, kCompositeRounds64);
+  EXPECT_EQ(reference.depth_peak, kCompositeDepthPeak64);
 
   for (const std::size_t bs : kBlockSizes) {
-    for (const std::size_t threads : kThreadCounts) {
-      const CompositeResult r = run_composite(bs, threads);
-      ASSERT_EQ(r.out.size(), reference.out.size())
-          << "bs=" << bs << " threads=" << threads;
+    // Reference mode (one chain), then the same run cut into 2 and 4
+    // throughput chains.
+    for (const std::size_t chains : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+      CompositeExec exec;
+      exec.throughput = chains > 0;
+      const CompositeResult r = run_composite(bs, chains > 0 ? chains : 1, exec);
+      ASSERT_EQ(r.out.size(), reference.out.size()) << "bs=" << bs << " chains=" << chains;
       for (std::size_t i = 0; i < r.out.size(); ++i)
         ASSERT_EQ(r.out[i], reference.out[i])
-            << "bs=" << bs << " threads=" << threads << " sample " << i;
-      // The schedule itself is thread-count independent: same rounds, same
-      // queue occupancy peaks, same deterministic counters.
-      if (bs == 64) {
-        EXPECT_EQ(r.rounds, reference.rounds) << "threads=" << threads;
-        EXPECT_EQ(r.depth_peak, reference.depth_peak) << "threads=" << threads;
+            << "bs=" << bs << " chains=" << chains << " sample " << i;
+      if (bs == 64 && chains == 0) {
+        EXPECT_EQ(r.rounds, reference.rounds);
+        EXPECT_EQ(r.depth_peak, reference.depth_peak);
       }
       EXPECT_EQ(r.sink_samples, r.out.size());
     }
@@ -502,8 +523,8 @@ TEST(StreamThroughput, MatchesReferenceAtAnyPartitioningAndBatch) {
 }
 
 TEST(StreamThroughput, BatchedWorkIsBlockSizeInvariant) {
-  // work_batch / process_batch must be invisible in the samples at every
-  // block size, not just the composite's 64.
+  // Ring batching must be invisible in the samples at every block size,
+  // not just the composite's 64.
   const CompositeResult reference = run_composite(64, 1);
   for (const std::size_t bs : kBlockSizes) {
     CompositeExec exec;
@@ -513,6 +534,20 @@ TEST(StreamThroughput, BatchedWorkIsBlockSizeInvariant) {
     ASSERT_EQ(r.out.size(), reference.out.size()) << "bs=" << bs;
     for (std::size_t i = 0; i < r.out.size(); ++i)
       ASSERT_EQ(r.out[i], reference.out[i]) << "bs=" << bs << " sample " << i;
+  }
+}
+
+TEST(StreamThroughput, BlockTimerObservesEveryBlockAtAnyBatch) {
+  // stream.<e>.block_us is a per-block timer in both modes
+  // (docs/OBSERVABILITY.md): batch_size sizes ring transfers only, so even
+  // a chain that finds 8 blocks queued times each one.
+  for (const std::size_t chains : {std::size_t{1}, std::size_t{2}}) {
+    CompositeExec exec;
+    exec.throughput = true;
+    exec.batch = 8;
+    const CompositeResult r = run_composite(64, chains, exec);
+    ASSERT_GT(r.relay_blocks, 0u);
+    EXPECT_EQ(r.relay_timed, r.relay_blocks) << "chains=" << chains;
   }
 }
 
@@ -746,38 +781,33 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
 // The f32 relay session has its OWN pinned checksum (docs/PERFORMANCE.md,
 // "The float32 family"): a different constant from the f64 session's
 // 6a5a4d77ad3c20ff, but held to the same invariance contract — one value no
-// matter how the stream is blocked, how many workers run it, which
+// matter how the stream is blocked, how many chains run it, which
 // scheduler executes it, or (via the release-nosimd preset re-running this
 // binary) which ISA the kernels dispatched to.
 TEST(StreamF32, RelaySessionChecksumPinnedAcrossBlocksThreadsAndModes) {
   constexpr std::uint64_t kChecksumF32 = 0x4C5091284BF23263ULL;
   const RelaySession session = make_relay_session(Precision::kF32);
 
-  // Every block size runs in both modes; the worker count cycles through
-  // {1,2,4} so each appears in each mode across the sweep.
+  // Every block size runs in both modes; the throughput chain count cycles
+  // through {1,2,4} so each appears across the sweep.
   std::size_t rotate = 0;
   for (const std::size_t block : kBlockSizes) {
-    for (const bool throughput : {false, true}) {
-      SchedulerConfig sc;
-      sc.threads = kThreadCounts[rotate++ % 3];
-      if (throughput) {
-        sc.mode = stream::SchedulerMode::kThroughput;
-        sc.batch_size = 4;
-      }
-      EXPECT_EQ(run_relay_session(session, sc, block), kChecksumF32)
-          << "block=" << block << " threads=" << sc.threads
-          << " mode=" << (throughput ? "throughput" : "reference");
-    }
-  }
-  // Full thread sweep at the bench block size, both modes.
-  for (const std::size_t threads : kThreadCounts) {
-    SchedulerConfig ref;
-    ref.threads = threads;
-    EXPECT_EQ(run_relay_session(session, ref), kChecksumF32) << "ref t=" << threads;
+    EXPECT_EQ(run_relay_session(session, SchedulerConfig{}, block), kChecksumF32)
+        << "block=" << block << " mode=reference";
     SchedulerConfig tp;
     tp.mode = stream::SchedulerMode::kThroughput;
-    tp.threads = threads;
-    EXPECT_EQ(run_relay_session(session, tp), kChecksumF32) << "tp t=" << threads;
+    tp.threads = kChainCounts[rotate++ % 3];
+    tp.batch_size = 4;
+    EXPECT_EQ(run_relay_session(session, tp, block), kChecksumF32)
+        << "block=" << block << " chains=" << tp.threads << " mode=throughput";
+  }
+  // Full chain sweep at the bench block size.
+  EXPECT_EQ(run_relay_session(session, SchedulerConfig{}), kChecksumF32) << "ref";
+  for (const std::size_t chains : kChainCounts) {
+    SchedulerConfig tp;
+    tp.mode = stream::SchedulerMode::kThroughput;
+    tp.threads = chains;
+    EXPECT_EQ(run_relay_session(session, tp), kChecksumF32) << "tp chains=" << chains;
   }
 }
 
@@ -914,8 +944,10 @@ TEST(StreamBackpressure, BoundedQueueNeverDropsUnderSaturation) {
 }
 
 TEST(StreamBackpressure, ThrottledSinkStillDrainsEverythingMultithreaded) {
+  // Reference mode (chains = 0 below), then 1, 2 and 4 throughput chains.
   const CVec x = random_signal(5000, 17);
-  for (const std::size_t threads : kThreadCounts) {
+  for (const std::size_t chains : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
     Graph g;
     auto* src = g.emplace<stream::VectorSource>("src", x, 8);
     auto* tee = g.emplace<stream::Tee>("tee", 2);
@@ -925,11 +957,33 @@ TEST(StreamBackpressure, ThrottledSinkStillDrainsEverythingMultithreaded) {
     g.connect(*tee, 0, *a, 0, /*capacity=*/2);
     g.connect(*tee, 1, *b, 0, /*capacity=*/2);
     SchedulerConfig sc;
-    sc.threads = threads;
+    if (chains > 0) {
+      sc.mode = stream::SchedulerMode::kThroughput;
+      sc.threads = chains;
+    }
     Scheduler(g, sc).run();
-    EXPECT_EQ(a->samples(), x) << "threads=" << threads;
-    EXPECT_EQ(b->samples(), x) << "threads=" << threads;
+    EXPECT_EQ(a->samples(), x) << "chains=" << chains;
+    EXPECT_EQ(b->samples(), x) << "chains=" << chains;
   }
+}
+
+TEST(StreamScheduler, ReferenceModeRejectsMoreThanOneThread) {
+  // Reference mode is one chain on the calling thread; more threads are
+  // throughput-mode chains, and the error says so.
+  Graph g;
+  auto* src = g.emplace<stream::VectorSource>("src", random_signal(64, 3), 8);
+  auto* sink = g.emplace<stream::AccumulatorSink>("sink");
+  g.connect(*src, 0, *sink, 0);
+  SchedulerConfig sc;
+  sc.threads = 4;
+  try {
+    Scheduler(g, sc).run();
+    FAIL() << "reference mode accepted threads = 4";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mode = throughput"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(sink->samples().empty());  // rejected before any block moved
 }
 
 TEST(StreamScheduler, MaxRoundsGuardsRunawayGraphs) {
