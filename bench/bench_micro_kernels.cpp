@@ -3,6 +3,7 @@
 // software model).
 #include <benchmark/benchmark.h>
 
+#include "common/noise.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
@@ -233,6 +234,63 @@ void BM_FirCoreF32(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FirCoreF32);
+
+// ---- noise draw: the stream channel's AWGN at the session's thermal
+// floor on one 256-sample block, as time per complex sample
+// (`per_sample`). NoiseSampler (common/noise.hpp: SplitMix64 + ziggurat,
+// what ChannelElement runs) at f64 and f32, against per-sample Rng draws
+// as the baseline (cgaussian: two normal_distribution draws on
+// mt19937_64; cgaussian32: float polar method).
+
+constexpr std::size_t kNoiseBlock = 256;
+constexpr double kNoisePower = 1e-9;  // -90 dBm
+
+void set_per_sample(benchmark::State& state) {
+  const double samples =
+      static_cast<double>(state.iterations()) * static_cast<double>(kNoiseBlock);
+  state.SetItemsProcessed(static_cast<int64_t>(samples));
+  state.counters["per_sample"] =
+      benchmark::Counter(samples, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+template <typename T>
+void BM_NoiseSampler(benchmark::State& state) {
+  NoiseSampler noise(0x5EED);
+  std::vector<std::complex<T>> block(kNoiseBlock);
+  for (auto _ : state) {
+    noise.add_cgaussian(std::span<std::complex<T>>(block), kNoisePower);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_sample(state);
+}
+BENCHMARK(BM_NoiseSampler<double>)->Name("BM_NoiseSamplerF64");
+BENCHMARK(BM_NoiseSampler<float>)->Name("BM_NoiseSamplerF32");
+
+void BM_NoiseRngCgaussian(benchmark::State& state) {
+  Rng rng(0x5EED);
+  CVec block(kNoiseBlock);
+  for (auto _ : state) {
+    for (auto& s : block) s += rng.cgaussian(kNoisePower);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_sample(state);
+}
+BENCHMARK(BM_NoiseRngCgaussian);
+
+void BM_NoiseRngCgaussian32(benchmark::State& state) {
+  Rng rng(0x5EED);
+  CVec32 block(kNoiseBlock);
+  const auto p = static_cast<float>(kNoisePower);
+  for (auto _ : state) {
+    for (auto& s : block) s += rng.cgaussian32(p);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_sample(state);
+}
+BENCHMARK(BM_NoiseRngCgaussian32);
 
 void BM_PipelineProcessBlock(benchmark::State& state) {
   relay::PipelineConfig cfg;

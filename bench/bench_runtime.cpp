@@ -1,6 +1,7 @@
 // Runtime telemetry for the evaluation engine: wall time of the standard
 // full-evaluation run at 1/2/4/N threads (with a bit-exactness checksum at
-// every thread count), plus best-of wall times for the hot micro-kernels.
+// every thread count), plus best-of wall times for the hot micro-kernels
+// and median-of-rounds wall times for the stream sessions.
 // Emits machine-readable BENCH_runtime.json so perf PRs have a baseline to
 // compare against.
 //
@@ -17,9 +18,12 @@
 // and batch sizes (the runtime's invariance contract). The
 // stream_relay_throughput kernel times the same session under the pipeline
 // scheduler (--batch-size blocks per ring transfer, --pin-cores to bind
-// workers) and cross-checks its checksum against the reference row. Both
-// modes are always measured; --mode throughput only lets --threads N fix
-// the throughput row's chain count (auto otherwise). Knobs: --block-size /
+// workers) and cross-checks its checksum against the reference row. Each
+// stream row is the median of max(--reps, 5) rounds, every round running
+// all three stream sessions once, and each speedup is the median per-round
+// ratio with its min-max range. Both modes are always measured; --mode
+// throughput only lets --threads N fix the throughput row's chain count
+// (auto otherwise). Knobs: --block-size /
 // --duration / --backpressure / --threads (eval::StreamCli, shared with
 // examples/streaming_relay).
 //
@@ -33,10 +37,12 @@
 //                      [--block-size N] [--duration S] [--backpressure B]
 //                      [--batch-size N] [--pin-cores]
 //                      [--city-grid N] [--city-clients N]
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "channel/floorplan.hpp"
@@ -88,9 +94,21 @@ ExperimentTiming time_experiment(std::size_t clients, std::size_t threads,
 
 struct KernelTiming {
   std::string name;
-  double wall_ms = 0.0;   // best-of-reps for one batch
+  double wall_ms = 0.0;   // best-of-reps for one batch, or the median
   std::size_t items = 0;  // operations per batch
+  bool median = false;    // wall_ms is the median of the stream rounds
 };
+
+/// Repeated timings of one quantity: the median is the figure, the min and
+/// max its spread.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {ff::quantile_sorted(v, 0.5), v.front(), v.back()};
+}
 
 std::vector<KernelTiming> time_kernels(int reps) {
   std::vector<KernelTiming> out;
@@ -380,7 +398,9 @@ int main(int argc, char** argv) {
           "simulation.");
   cli.add_option("--clients", &clients, "client locations per floor plan")
       .add_option("--out", &out_path, "output JSON path")
-      .add_option("--reps", &reps, "best-of repetitions for the kernel timings")
+      .add_option("--reps", &reps,
+                  "best-of repetitions for the kernel timings (the stream rows "
+                  "take the median of max(R, 5) rounds)")
       .add_option("--metrics", &metrics_path,
                   "record telemetry, cross-check it across thread counts, and "
                   "write the 1-thread ff-metrics-v1 snapshot here")
@@ -437,53 +457,57 @@ int main(int argc, char** argv) {
 
   auto kernels = time_kernels(reps);
 
-  // ---- stream_relay: the streaming runtime pushing a full relay session.
+  // ---- the stream sessions: the reference scheduler (stream_relay), the
+  // pipeline scheduler (stream_relay_throughput: pinned per-core chains
+  // over SPSC rings; unless --mode throughput --threads N fixes it, the
+  // chain count follows the host, so this row scales on multi-core
+  // machines) and the float32 kernel family (stream_relay_f32:
+  // precision=f32 on the channels and the relay pipeline). A ~150 ms
+  // session is too short for one best-of-3 to give a repeatable ratio (one
+  // build's speedup_vs_reference read 0.93x-1.98x over four runs), so each
+  // row is the median of `stream_sessions` (>= 5) rounds, and each round
+  // runs all three sessions back to back: the two speedups are medians of
+  // per-round ratios, printed and written with their min-max range.
   const StreamSetup setup = make_stream_setup(stream_cli.duration_s());
-  StreamRun stream_run;
-  const double stream_ms = time_best_ms(
-      [&] {
-        stream_run =
-            run_stream_once(setup, stream_cli.block_size(), stream_cli.backpressure());
-      },
-      reps);
-  kernels.push_back(
-      {"stream_relay", stream_ms, static_cast<std::size_t>(stream_run.blocks)});
-
-  // ---- stream_relay_throughput: the same session under the pipeline
-  // scheduler (pinned per-core chains over SPSC rings). Unless --mode
-  // throughput --threads N fixes it, the chain count follows the host, so
-  // this row scales on multi-core machines; the checksum cross-check below
-  // still holds it to the reference output bit for bit.
+  const StreamSetup setup_f32 =
+      make_stream_setup(stream_cli.duration_s(), ff::Precision::kF32);
   StreamExec texec;
   texec.throughput = true;
   texec.chains = stream_cli.is_throughput() ? stream_cli.threads() : 0;
   texec.batch_size = stream_cli.batch_size();
   texec.pin_cores = stream_cli.pin_cores();
-  StreamRun stream_tp_run;
-  const double stream_tp_ms = time_best_ms(
-      [&] {
-        stream_tp_run = run_stream_once(setup, stream_cli.block_size(),
-                                        stream_cli.backpressure(), texec);
-      },
-      reps);
+  const int stream_sessions = std::max(reps, 5);
+  StreamRun stream_run, stream_tp_run, stream_f32_run;
+  std::vector<double> ref_ms, tp_ms, f32_ms, tp_ratio, f32_ratio;
+  for (int r = 0; r < stream_sessions; ++r) {
+    ref_ms.push_back(time_once_ms([&] {
+      stream_run = run_stream_once(setup, stream_cli.block_size(), stream_cli.backpressure());
+    }));
+    tp_ms.push_back(time_once_ms([&] {
+      stream_tp_run = run_stream_once(setup, stream_cli.block_size(),
+                                      stream_cli.backpressure(), texec);
+    }));
+    f32_ms.push_back(time_once_ms([&] {
+      stream_f32_run =
+          run_stream_once(setup_f32, stream_cli.block_size(), stream_cli.backpressure());
+    }));
+    tp_ratio.push_back(ref_ms.back() / tp_ms.back());
+    f32_ratio.push_back(ref_ms.back() / f32_ms.back());
+  }
+  const Spread stream_t = spread_of(ref_ms);
+  const Spread stream_tp_t = spread_of(tp_ms);
+  const Spread stream_f32_t = spread_of(f32_ms);
+  const Spread tp_speedup = spread_of(tp_ratio);
+  const Spread f32_speedup = spread_of(f32_ratio);
+  const double stream_ms = stream_t.median;
+  const double stream_tp_ms = stream_tp_t.median;
+  const double stream_f32_ms = stream_f32_t.median;
+  kernels.push_back(
+      {"stream_relay", stream_ms, static_cast<std::size_t>(stream_run.blocks), true});
   kernels.push_back({"stream_relay_throughput", stream_tp_ms,
-                     static_cast<std::size_t>(stream_tp_run.blocks)});
-
-  // ---- stream_relay_f32 (v5): the same session on the float32 kernel
-  // family (precision=f32 on the channels and the relay pipeline). Unlike
-  // the thread-scaling rows, this speedup comes from SIMD width, so it is
-  // meaningful even on a single visible CPU — no skipped_reason branch.
-  const StreamSetup setup_f32 =
-      make_stream_setup(stream_cli.duration_s(), ff::Precision::kF32);
-  StreamRun stream_f32_run;
-  const double stream_f32_ms = time_best_ms(
-      [&] {
-        stream_f32_run =
-            run_stream_once(setup_f32, stream_cli.block_size(), stream_cli.backpressure());
-      },
-      reps);
+                     static_cast<std::size_t>(stream_tp_run.blocks), true});
   kernels.push_back({"stream_relay_f32", stream_f32_ms,
-                     static_cast<std::size_t>(stream_f32_run.blocks)});
+                     static_cast<std::size_t>(stream_f32_run.blocks), true});
 
   // The runtime's invariance contract: the output stream is bit-identical
   // for any block size, chain count and batch size (tests/stream_test.cpp
@@ -540,16 +564,17 @@ int main(int argc, char** argv) {
   // cores to pipeline across; on a 1-CPU container the chains time-slice
   // one core and the honest answer is "skipped", not a meaningless ratio.
   const unsigned hw_concurrency = std::thread::hardware_concurrency();
-  const double tp_speedup = stream_ms / stream_tp_ms;
   std::string tp_skipped_reason;
   if (hw_concurrency <= 1)
     tp_skipped_reason =
         "single visible CPU: pipeline chains time-slice one core, "
         "speedup-vs-reference not meaningful";
 
-  Table ktable({"kernel", "batch", "best-of (ms)", "us/op"});
+  Table ktable({"kernel", "batch", "ms", "of", "us/op"});
   for (const auto& k : kernels)
     ktable.row({k.name, std::to_string(k.items), Table::num(k.wall_ms, 3),
+                k.median ? "median of " + std::to_string(stream_sessions)
+                         : "best of " + std::to_string(reps),
                 Table::num(1e3 * k.wall_ms / static_cast<double>(k.items), 3)});
   ktable.print();
 
@@ -570,7 +595,8 @@ int main(int argc, char** argv) {
               texec.chains == 0 ? "auto" : std::to_string(texec.chains).c_str(),
               hw_concurrency);
   if (tp_skipped_reason.empty())
-    std::printf(", %.2fx vs reference\n", tp_speedup);
+    std::printf(", %.2fx vs reference (range %.2f-%.2fx over %d rounds)\n",
+                tp_speedup.median, tp_speedup.min, tp_speedup.max, stream_sessions);
   else
     std::printf(", speedup check skipped: %s\n", tp_skipped_reason.c_str());
   std::printf("stream output bit-identical across block sizes, chains, "
@@ -578,11 +604,12 @@ int main(int argc, char** argv) {
               stream_deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
   const double stream_f32_msps =
       static_cast<double>(stream_f32_run.samples) / (1e3 * stream_f32_ms);
-  const double f32_speedup = stream_f32_ms > 0.0 ? stream_ms / stream_f32_ms : 0.0;
   std::snprintf(cs, sizeof(cs), "%016llx",
                 static_cast<unsigned long long>(stream_f32_run.checksum));
-  std::printf("stream_relay_f32: %.1f Msamples/s (%.2fx vs f64, own checksum %s)\n",
-              stream_f32_msps, f32_speedup, cs);
+  std::printf("stream_relay_f32: %.1f Msamples/s (%.2fx vs f64, range %.2f-%.2fx over "
+              "%d rounds; own checksum %s)\n",
+              stream_f32_msps, f32_speedup.median, f32_speedup.min, f32_speedup.max,
+              stream_sessions, cs);
   std::printf("f32 stream output bit-identical across block sizes, chains "
               "and modes: %s\n",
               stream_f32_deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
@@ -617,7 +644,7 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.begin_object();
-  json.key("schema").value(std::string("ff-bench-runtime-v5"));
+  json.key("schema").value(std::string("ff-bench-runtime-v6"));
   json.key("clients_per_plan").value(clients);
   json.key("hardware_threads").value(hw_threads);
   // v3: the CPUs actually visible to this process — perf rows that depend
@@ -655,11 +682,23 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.key("name").value(k.name);
     json.key("batch").value(k.items);
-    json.key("best_of_ms").value(k.wall_ms);
+    json.key(k.median ? "median_ms" : "best_of_ms").value(k.wall_ms);
     json.key("us_per_op").value(1e3 * k.wall_ms / static_cast<double>(k.items));
     json.end_object();
   }
   json.end_array();
+  // Stream rows (v6): the median of `sessions` rounds with its min and max,
+  // and each speedup as the median per-round ratio with its [min, max].
+  const auto session_times = [&](const Spread& t) {
+    json.key("sessions").value(stream_sessions);
+    json.key("median_ms").value(t.median);
+    json.key("min_ms").value(t.min);
+    json.key("max_ms").value(t.max);
+  };
+  const auto speedup = [&](const std::string& name, const Spread& r) {
+    json.key(name).value(r.median);
+    json.key("speedup_range").begin_array().value(r.min).value(r.max).end_array();
+  };
   json.key("stream");
   json.begin_object();
   json.key("block_size").value(stream_cli.block_size());
@@ -668,7 +707,7 @@ int main(int argc, char** argv) {
   json.key("duration_s").value(stream_cli.duration_s());
   json.key("samples").value(static_cast<std::size_t>(stream_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_run.blocks));
-  json.key("best_of_ms").value(stream_ms);
+  session_times(stream_t);
   json.key("samples_per_sec").value(1e6 * stream_msps);
   json.key("us_per_block").value(1e3 * stream_ms / static_cast<double>(stream_run.blocks));
   std::snprintf(cs, sizeof(cs), "%016llx",
@@ -690,7 +729,7 @@ int main(int argc, char** argv) {
   json.key("chains").value(texec.chains);
   json.key("samples").value(static_cast<std::size_t>(stream_tp_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_tp_run.blocks));
-  json.key("best_of_ms").value(stream_tp_ms);
+  session_times(stream_tp_t);
   json.key("samples_per_sec").value(1e6 * stream_tp_msps);
   json.key("us_per_block").value(1e3 * stream_tp_ms /
                                  static_cast<double>(stream_tp_run.blocks));
@@ -698,7 +737,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_tp_run.checksum));
   json.key("checksum").value(std::string(cs));
   if (tp_skipped_reason.empty())
-    json.key("speedup_vs_reference").value(tp_speedup);
+    speedup("speedup_vs_reference", tp_speedup);
   else
     json.key("skipped_reason").value(tp_skipped_reason);
   json.end_object();
@@ -715,7 +754,7 @@ int main(int argc, char** argv) {
   json.key("threads").value(std::size_t{1});
   json.key("samples").value(static_cast<std::size_t>(stream_f32_run.samples));
   json.key("blocks").value(static_cast<std::size_t>(stream_f32_run.blocks));
-  json.key("best_of_ms").value(stream_f32_ms);
+  session_times(stream_f32_t);
   json.key("samples_per_sec").value(1e6 * stream_f32_msps);
   json.key("us_per_block").value(1e3 * stream_f32_ms /
                                  static_cast<double>(stream_f32_run.blocks));
@@ -723,7 +762,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stream_f32_run.checksum));
   json.key("checksum").value(std::string(cs));
   json.key("deterministic").value(stream_f32_deterministic);
-  json.key("speedup_f32_vs_f64").value(f32_speedup);
+  speedup("speedup_f32_vs_f64", f32_speedup);
   json.end_object();
   // v4: the sharded many-relay city simulation — deployment-scale
   // throughput under inter-site interference, the whole-city FF session

@@ -1,4 +1,4 @@
-# citysim-smoke: validate the "city" object (v4, schema now v5) bench_runtime emits and the
+# citysim-smoke: validate the "city" object (v4, schema now v6) bench_runtime emits and the
 # citysim example's streamed JSONL output.
 #
 # bench_runtime side: run a tiny 2x2 city and require the BENCH JSON to
@@ -46,8 +46,8 @@ string(JSON schema ERROR_VARIABLE jerr GET "${doc}" schema)
 if(jerr)
   message(FATAL_ERROR "bench JSON does not parse: ${jerr}")
 endif()
-if(NOT schema STREQUAL "ff-bench-runtime-v5")
-  message(FATAL_ERROR "unexpected schema tag '${schema}' (want ff-bench-runtime-v5)")
+if(NOT schema STREQUAL "ff-bench-runtime-v6")
+  message(FATAL_ERROR "unexpected schema tag '${schema}' (want ff-bench-runtime-v6)")
 endif()
 
 # The v4 city object: config echoed back, session count consistent.

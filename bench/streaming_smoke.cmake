@@ -1,5 +1,5 @@
 # streaming-smoke: run bench_runtime with a short stream session and
-# validate the stream_relay entries in the emitted ff-bench-runtime-v5 JSON:
+# validate the stream_relay entries in the emitted ff-bench-runtime-v6 JSON:
 # the kernels array must carry stream_relay, stream_relay_throughput and
 # stream_relay_f32 rows, the top-level "stream", "stream_throughput" and
 # "stream_f32" objects must report throughput and per-block latency, the
@@ -51,8 +51,8 @@ string(JSON schema ERROR_VARIABLE jerr GET "${doc}" schema)
 if(jerr)
   message(FATAL_ERROR "bench JSON does not parse: ${jerr}")
 endif()
-if(NOT schema STREQUAL "ff-bench-runtime-v5")
-  message(FATAL_ERROR "unexpected schema tag '${schema}' (want ff-bench-runtime-v5)")
+if(NOT schema STREQUAL "ff-bench-runtime-v6")
+  message(FATAL_ERROR "unexpected schema tag '${schema}' (want ff-bench-runtime-v6)")
 endif()
 
 # v3: the visible-CPU count that perf rows condition their speedup claims on.
@@ -109,9 +109,16 @@ foreach(i RANGE 0 ${last})
     else()
       set(found_fft_f32_row TRUE)
     endif()
-    string(JSON ms GET "${doc}" kernels ${i} best_of_ms)
+    # v6: the stream rows are the median of several sessions, the kernel
+    # rows best-of.
+    if(name MATCHES "^stream_relay")
+      set(stat median_ms)
+    else()
+      set(stat best_of_ms)
+    endif()
+    string(JSON ms GET "${doc}" kernels ${i} ${stat})
     if(NOT ms GREATER 0)
-      message(FATAL_ERROR "${name} best_of_ms = ${ms}, expected > 0")
+      message(FATAL_ERROR "${name} ${stat} = ${ms}, expected > 0")
     endif()
   endif()
 endforeach()
@@ -137,6 +144,25 @@ foreach(field samples blocks samples_per_sec us_per_block)
   endif()
   if(NOT v GREATER 0)
     message(FATAL_ERROR "stream.${field} = ${v}, expected > 0")
+  endif()
+endforeach()
+
+# v6: every stream object times at least 5 sessions and reports
+# min <= median <= max.
+foreach(obj stream stream_throughput stream_f32)
+  string(JSON sessions ERROR_VARIABLE jerr GET "${doc}" ${obj} sessions)
+  if(jerr)
+    message(FATAL_ERROR "${obj} object missing v6 'sessions': ${jerr}")
+  endif()
+  if(sessions LESS 5)
+    message(FATAL_ERROR "${obj}.sessions = ${sessions}, expected >= 5")
+  endif()
+  string(JSON lo GET "${doc}" ${obj} min_ms)
+  string(JSON mid GET "${doc}" ${obj} median_ms)
+  string(JSON hi GET "${doc}" ${obj} max_ms)
+  if(NOT lo GREATER 0 OR lo GREATER mid OR mid GREATER hi)
+    message(FATAL_ERROR "${obj}: min_ms ${lo} / median_ms ${mid} / max_ms ${hi} "
+                        "are not 0 < min <= median <= max")
   endif()
 endforeach()
 string(JSON bs GET "${doc}" stream block_size)
@@ -188,6 +214,14 @@ if(NOT sp_err AND NOT sk_err)
   message(FATAL_ERROR "stream_throughput carries both speedup_vs_reference and "
                       "skipped_reason; they are mutually exclusive")
 endif()
+if(NOT sp_err)
+  string(JSON lo GET "${doc}" stream_throughput speedup_range 0)
+  string(JSON hi GET "${doc}" stream_throughput speedup_range 1)
+  if(lo GREATER speedup OR speedup GREATER hi)
+    message(FATAL_ERROR "stream_throughput.speedup_vs_reference ${speedup} lies "
+                        "outside its speedup_range [${lo}, ${hi}]")
+  endif()
+endif()
 
 # v5: the stream_f32 object — the same session on the float32 kernel family.
 # Its checksum is a separate pinned family (must differ from the f64 one),
@@ -210,6 +244,16 @@ foreach(field samples blocks samples_per_sec us_per_block speedup_f32_vs_f64)
     message(FATAL_ERROR "stream_f32.${field} = ${v}, expected > 0")
   endif()
 endforeach()
+string(JSON f32_sp GET "${doc}" stream_f32 speedup_f32_vs_f64)
+string(JSON lo ERROR_VARIABLE jerr GET "${doc}" stream_f32 speedup_range 0)
+if(jerr)
+  message(FATAL_ERROR "stream_f32 object missing v6 'speedup_range': ${jerr}")
+endif()
+string(JSON hi GET "${doc}" stream_f32 speedup_range 1)
+if(lo GREATER f32_sp OR f32_sp GREATER hi)
+  message(FATAL_ERROR "stream_f32.speedup_f32_vs_f64 ${f32_sp} lies outside its "
+                      "speedup_range [${lo}, ${hi}]")
+endif()
 string(JSON f32_det GET "${doc}" stream_f32 deterministic)
 if(NOT f32_det STREQUAL "ON")
   message(FATAL_ERROR "stream_f32.deterministic = ${f32_det}: the f32 session "

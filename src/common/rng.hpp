@@ -51,15 +51,14 @@ class Rng {
     return {s * gaussian(), s * gaussian()};
   }
 
-  /// Float32 twin of cgaussian(): the float32 kernel family's noise draw.
-  /// Marsaglia polar method entirely in float arithmetic, one 64-bit engine
-  /// draw per trial (the top two 24-bit fields feed the two uniforms) —
-  /// several times cheaper than the two normal_distribution<double> draws
-  /// behind cgaussian(), which is what keeps noise injection off the
-  /// critical path of a float32 stream session. Deliberately a DIFFERENT
-  /// draw sequence from cgaussian() with the same statistics; the f32
-  /// checksum family pins it separately (docs/PERFORMANCE.md, "The float32
-  /// family").
+  /// Float32 complex Gaussian: Marsaglia polar method entirely in float
+  /// arithmetic, one 64-bit engine draw per trial (the top two 24-bit
+  /// fields feed the two uniforms). A different draw sequence from
+  /// cgaussian() with the same statistics. No stream element draws from it
+  /// any more — ChannelElement adds noise with NoiseSampler
+  /// (common/noise.hpp) at both precisions — but the repository benchmark's
+  /// `common.rng.cgaussian32_ns` replay times it, and bench_micro_kernels
+  /// keeps it as the float baseline the sampler is measured against.
   Complex32 cgaussian32(float variance = 1.0f) {
     float u, v, q;
     do {

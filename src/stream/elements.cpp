@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -34,6 +33,12 @@ Precision parse_precision(const Params& p) {
   FF_CHECK_MSG(false, p.context() << ": precision: must be 'f64' or 'f32', got '"
                                   << v << "'");
   return Precision::kF64;  // unreachable
+}
+
+/// The channel noise sampler's key: one draw from the channel's "noise"
+/// stream, so the channel seed alone selects the noise realization.
+std::uint64_t noise_key(std::uint64_t seed) {
+  return seeding::named_stream(seed, "noise").engine()();
 }
 
 }  // namespace
@@ -268,7 +273,7 @@ void ChannelElement::configure(const Params& p) {
   drift_ = net::DriftingChannel(cfg_.channel,
                                 cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0);
   fir_ = make_fir();
-  noise_rng_ = seeding::named_stream(cfg_.seed, "noise");
+  noise_ = NoiseSampler(noise_key(cfg_.seed));
   drift_rng_ = seeding::named_stream(cfg_.seed, "drift");
   retunes_ = 0;
 }
@@ -314,7 +319,7 @@ ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
       cfg_(std::move(cfg)),
       drift_(cfg_.channel, cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0),
       fir_(make_fir()),
-      noise_rng_(seeding::named_stream(cfg_.seed, "noise")),
+      noise_(noise_key(cfg_.seed)),
       drift_rng_(seeding::named_stream(cfg_.seed, "drift")) {
   FF_CHECK_MSG(cfg_.sample_rate_hz > 0.0, "ChannelElement needs a positive sample rate");
   FF_CHECK_MSG(cfg_.noise_power >= 0.0, "ChannelElement noise_power must be >= 0");
@@ -329,12 +334,13 @@ void ChannelElement::process(Block& block) {
 template <typename T>
 void ChannelElement::process_as(dsp::FirFilter<T>& fir, CMutSpan samples) {
   // Segment-wise between retune boundaries: retunes still land at exact
-  // stream positions (multiples of the interval) and the noise/drift RNG
-  // draws are still consumed in sample order — the FIR consumes no
-  // randomness, so filtering a whole segment before drawing its noise uses
-  // every draw for the same sample as the per-sample loop did. Within a
-  // segment the taps are fixed, so the block FIR path applies (bit-identical
-  // to push() at any block size).
+  // stream positions (multiples of the interval) and the noise/drift draws
+  // are still consumed in sample order — the FIR consumes no randomness,
+  // so filtering a whole segment before drawing its noise uses every draw
+  // for the same sample as the per-sample loop did. Within a segment the
+  // taps are fixed, so the block FIR path applies (bit-identical to push()
+  // at any block size). Both precisions draw the same double noise; the
+  // f32 path adds it rounded to float.
   const std::size_t interval = cfg_.retune_interval_samples;
   std::size_t done = 0;
   while (done < samples.size()) {
@@ -349,20 +355,7 @@ void ChannelElement::process_as(dsp::FirFilter<T>& fir, CMutSpan samples) {
     const CMutSpan seg = samples.subspan(done, chunk);
     const std::span<std::complex<T>> buf = dsp::kernels::block_at<T>(seg, ws_, 1);
     fir.process_into(buf, buf, ws_);
-    if (cfg_.noise_power > 0.0) {
-      if constexpr (std::is_same_v<T, double>) {
-        for (auto& s : buf) s += noise_rng_.cgaussian(cfg_.noise_power);
-      } else {
-        // Rng::cgaussian32 is the float32 family's own draw sequence (same
-        // named engine stream, float polar method, several times cheaper
-        // than the double draws): a float32 channel pays float32 prices for
-        // its noise, and the f32 checksum family pins the result. Draws are
-        // still consumed per-sample in stream order, so the f32 stream is
-        // invariant to blocking for the same reason kF64 is.
-        const float np = static_cast<float>(cfg_.noise_power);
-        for (auto& s : buf) s += noise_rng_.cgaussian32(np);
-      }
-    }
+    if (cfg_.noise_power > 0.0) noise_.add_cgaussian(buf, cfg_.noise_power);
     dsp::kernels::store_block<T>(buf, seg);
     pos_ += chunk;
     done += chunk;

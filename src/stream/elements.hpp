@@ -15,6 +15,7 @@
 
 #include "channel/cfo.hpp"
 #include "channel/multipath.hpp"
+#include "common/noise.hpp"
 #include "common/rng.hpp"
 #include "dsp/fir.hpp"
 #include "eval/faults.hpp"
@@ -212,10 +213,11 @@ struct ChannelElementConfig {
   /// so drift is block-size invariant. 0 = never retune (static FIR).
   std::size_t retune_interval_samples = 0;
   std::uint64_t seed = 0x5EED;
-  /// kF32 runs the channel FIR on the float32 kernel family (narrow on
-  /// segment entry, widen before the noise add). Discretization, drift and
-  /// the noise RNG stay double — the same draws in the same order as kF64,
-  /// so the f32 stream keeps its own block-size/thread-invariant checksum.
+  /// kF32 runs the channel FIR on the float32 kernel family and adds the
+  /// noise in float (narrow on segment entry, widen on exit).
+  /// Discretization, drift and the noise draws stay double — the same draws
+  /// in the same order as kF64, rounded once to float — so the f32 stream
+  /// keeps its own block-size/thread-invariant checksum.
   Precision precision = Precision::kF64;
 };
 
@@ -260,7 +262,7 @@ class ChannelElement : public Transform {
   ChannelElementConfig cfg_;
   net::DriftingChannel drift_;
   AtPrecision<dsp::FirFilter> fir_;  // at cfg_.precision
-  Rng noise_rng_;
+  NoiseSampler noise_;
   Rng drift_rng_;
   std::uint64_t pos_ = 0;
   std::uint64_t retunes_ = 0;

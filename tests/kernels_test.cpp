@@ -721,6 +721,39 @@ TEST(ZeroAllocation, CancellerElementF32SteadyState) {
       << "CancellerElement f32 cancel_into allocated in steady state";
 }
 
+/// ChannelElement with its block entry point public, so the test drives it
+/// without a graph (whose block moves allocate by design).
+struct ChannelProbe : stream::ChannelElement {
+  using stream::ChannelElement::ChannelElement;
+  using stream::ChannelElement::process;
+};
+
+// The noisy channel — FIR, AWGN draws and the f32 narrow/widen — in both
+// precisions.
+TEST(ZeroAllocation, NoisyChannelElementSteadyState) {
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    stream::ChannelElementConfig cfg;
+    cfg.channel = channel::MultipathChannel(
+        {channel::PathTap{100e-9, Complex{0.5, 0.1}},
+         channel::PathTap{250e-9, Complex{-0.2, 0.3}}},
+        2.45e9);
+    cfg.sample_rate_hz = 80e6;
+    cfg.noise_power = 1e-9;
+    cfg.precision = precision;
+    ChannelProbe chan("chan", cfg);
+    Rng rng(17);
+    stream::Block block;
+    block.samples.resize(512);
+    for (auto& v : block.samples) v = rng.cgaussian();
+    for (int i = 0; i < 3; ++i) chan.process(block);
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 32; ++i) chan.process(block);
+    EXPECT_EQ(alloc_count(), before)
+        << "ChannelElement with noise allocated in steady state, precision="
+        << to_string(precision);
+  }
+}
+
 TEST(Workspace, GrowsAreCountedAndStopInSteadyState) {
   k::Workspace ws;
   EXPECT_EQ(ws.grows(), 0u);

@@ -527,7 +527,7 @@ TEST(LangChecksum, TextBuiltSessionMatchesPinnedChecksumBothModes) {
   // The exact constant stream_test pins for the hand-wired session. The
   // text path — serialize, parse, registry construction, configure() —
   // must land on the same bytes.
-  constexpr std::uint64_t kChecksum = 0x6A5A4D77AD3C20FFULL;
+  constexpr std::uint64_t kChecksum = 0xCFCAEE50F7070F77ULL;
   const RelaySession s = make_relay_session(/*max_packets=*/SIZE_MAX);
 
   SchedulerConfig reference;

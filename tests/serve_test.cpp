@@ -457,7 +457,7 @@ CVec run_socket_relay(const RelaySession& s, const CVec& input,
 TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
   // The exact constant the fully in-process graph pins
   // (tests/stream_test.cpp, BENCH_runtime.json).
-  constexpr std::uint64_t kChecksum = 0x6A5A4D77AD3C20FFULL;
+  constexpr std::uint64_t kChecksum = 0xCFCAEE50F7070F77ULL;
   const RelaySession session = make_relay_session();
   const CVec input = capture_source(session);
   ASSERT_EQ(input.size(), 399360u);
