@@ -11,6 +11,7 @@
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/kernels/workspace.hpp"
 #include "dsp/noise.hpp"
+#include "dsp/resample.hpp"
 #include "fullduplex/digital_canceller.hpp"
 #include "fullduplex/stack.hpp"
 #include "phy/fec.hpp"
@@ -198,42 +199,68 @@ void BM_FirProcessIntoBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_FirProcessIntoBlock);
 
-// The raw dense-FIR cores, f64 vs f32, on the canceller's 120-tap shape: one
-// 256-sample block over a pre-staged extended input, no delay-line
-// bookkeeping — pure kernels::axpy throughput in each precision.
+// The raw dense-FIR cores, f64 vs f32: one 256-sample block over a
+// pre-staged extended input, no delay-line bookkeeping — pure
+// kernels::fir_block throughput in each precision. The argument is the tap
+// count: 12 is the relay's composite forward filter, 58 and 77 the shortest
+// and longest channel of examples/relay.ff, 120 the canceller's shape.
 
-void BM_FirCoreF64(benchmark::State& state) {
+template <typename T>
+void BM_FirCore(benchmark::State& state) {
   Rng rng(9);
-  const std::size_t taps = 120, n = 256;
-  dsp::kernels::AlignedCVec h(taps), ext(taps - 1 + n), y(n);
-  for (auto& v : h) v = rng.cgaussian(1e-3);
-  for (auto& v : ext) v = rng.cgaussian();
-  for (auto _ : state) {
-    dsp::fir_core(h, ext.data(), y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_FirCoreF64);
-
-void BM_FirCoreF32(benchmark::State& state) {
-  Rng rng(9);
-  const std::size_t taps = 120, n = 256;
-  dsp::kernels::AlignedCVec hw(taps), extw(taps - 1 + n);
+  const auto taps = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 256;
+  CVec hw(taps), extw(taps - 1 + n);
   for (auto& v : hw) v = rng.cgaussian(1e-3);
   for (auto& v : extw) v = rng.cgaussian();
-  dsp::kernels::AlignedCVec32 h(taps), ext(taps - 1 + n), y(n);
-  dsp::kernels::narrow(hw, h);
-  dsp::kernels::narrow(extw, ext);
+  const auto hv = dsp::kernels::to_precision<T>(hw);
+  const auto extv = dsp::kernels::to_precision<T>(extw);
+  const dsp::kernels::AlignedVec<T> h(hv.begin(), hv.end()), ext(extv.begin(), extv.end());
+  dsp::kernels::AlignedVec<T> y(n);
   for (auto _ : state) {
-    dsp::fir_core(h, ext.data(), y);
+    dsp::fir_core<T>(h, ext.data(), y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FirCoreF32);
+BENCHMARK(BM_FirCore<double>)->Name("BM_FirCoreF64")->Arg(12)->Arg(58)->Arg(77)->Arg(120);
+BENCHMARK(BM_FirCore<float>)->Name("BM_FirCoreF32")->Arg(12)->Arg(58)->Arg(77)->Arg(120);
+
+// The PHY-boundary resamplers at the session's shape: one downlink packet
+// at 80 Msps is 34 240 samples, converted from and to 20 MHz by factor 4
+// with the default 97-tap resample_kernel(4, 12). Items are high-rate
+// samples, so both rows read in high-rate Msps.
+
+constexpr std::size_t kPacketSamples = 34240;
+constexpr std::size_t kOversample = 4;
+
+void BM_Downsample(benchmark::State& state) {
+  Rng rng(12);
+  CVec x(kPacketSamples);
+  for (auto& v : x) v = rng.cgaussian();
+  for (auto _ : state) {
+    CVec y = dsp::downsample(x, kOversample);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPacketSamples));
+}
+BENCHMARK(BM_Downsample);
+
+void BM_Upsample(benchmark::State& state) {
+  Rng rng(13);
+  CVec x(kPacketSamples / kOversample);
+  for (auto& v : x) v = rng.cgaussian();
+  for (auto _ : state) {
+    CVec y = dsp::upsample(x, kOversample);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPacketSamples));
+}
+BENCHMARK(BM_Upsample);
 
 // ---- noise draw: the stream channel's AWGN at the session's thermal
 // floor on one 256-sample block, as time per complex sample

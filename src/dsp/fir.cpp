@@ -10,17 +10,14 @@
 namespace ff::dsp {
 
 // Shared block-convolution core: y[i] = sum_k h[k] * ext[H + i - k] where
-// ext = [H context samples | block] and H = h.size() - 1. One axpy per tap,
-// taps ascending — the same serial accumulation order as a per-sample
-// delay-line loop, so block and per-sample filtering agree bit for bit.
+// ext = [H context samples | block] and H = h.size() - 1 — one
+// output-stationary kernels::fir_block call at unit stride.
 template <typename T>
 void fir_core(std::type_identity_t<std::span<const std::complex<T>>> taps,
               const std::complex<T>* ext,
               std::type_identity_t<std::span<std::complex<T>>> y) {
-  const std::size_t h = taps.size() - 1;
-  std::fill(y.begin(), y.end(), std::complex<T>{});
-  for (std::size_t k = 0; k <= h; ++k)
-    kernels::axpy(taps[k], std::span<const std::complex<T>>{ext + (h - k), y.size()}, y);
+  FF_CHECK_MSG(!taps.empty(), "fir_core needs at least one tap");
+  kernels::fir_block(taps, {ext, taps.size() - 1 + y.size()}, y);
 }
 
 template void fir_core<double>(CSpan, const Complex*, CMutSpan);

@@ -1,5 +1,6 @@
 // FIR filtering: a streaming sample-by-sample filter (used by the relay
 // pipeline, where causality and per-sample latency matter) and block helpers.
+// Every block path runs on one output-stationary kernel, kernels::fir_block.
 #pragma once
 
 #include <cstddef>
@@ -46,10 +47,10 @@ class FirFilter {
   /// is written. This is the allocation-free path the streaming hot loop
   /// uses to reuse one buffer per block.
   ///
-  /// Implementation: one vectorized kernels::axpy per tap over the extended
-  /// buffer, taps ascending — the exact accumulation order of push(), so a
-  /// block-filtered stream is bit-identical to a sample-at-a-time one at any
-  /// block size.
+  /// Implementation: fir_core over the extended buffer — each output summed
+  /// in registers, taps ascending from +0, the exact accumulation order of
+  /// push(), so a block-filtered stream is bit-identical to a
+  /// sample-at-a-time one at any block size.
   void process_into(Span x, MutSpan out);
 
   /// Same, with scratch drawn from a caller-owned Workspace (T slot 0) —
@@ -98,9 +99,10 @@ void filter_into(CSpan h, CSpan x, CMutSpan y, kernels::Workspace& ws);
 /// where `ext` holds (h.size()-1) leading context samples followed by (at
 /// least) y.size() block samples. Callers choose what the context is — real
 /// filter history, zeros, or future samples for an anti-causal filter. One
-/// kernels::axpy per tap, taps ascending, so every caller inherits the same
-/// accumulation order (and therefore bit-identical results for identical
-/// `ext` contents). T is deduced from `ext`.
+/// kernels::fir_block call: each output sums its taps in order from +0, so
+/// every caller inherits the same accumulation order (and therefore
+/// bit-identical results for identical `ext` contents). `y` must not overlap
+/// `ext`. T is deduced from `ext`.
 template <typename T>
 void fir_core(std::type_identity_t<std::span<const std::complex<T>>> h,
               const std::complex<T>* ext,

@@ -165,13 +165,48 @@ void radix4_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
   }
 }
 
+// Output-stationary FIR: y[i] = sum_k taps[k] * ext[i*stride + h - k],
+// h = ntaps - 1. Each output sums its terms in tap order k = 0..h starting
+// from +0, every term the x * t product axpy forms — so the result equals
+// zero-filling y and running one axpy per tap, bit for bit.
+
+// B outputs, input of the first at x (= ext + i*stride + h). The sums stay
+// in local arrays and meet each tap once; the loop over j is an axpy on
+// registers, which the compiler may vectorize across outputs without
+// reordering any output's sum.
+template <std::size_t B, typename T>
+void fir_outputs(const std::complex<T>* taps, std::size_t h, const std::complex<T>* x,
+                 std::complex<T>* y, std::size_t stride) {
+  T re[B] = {}, im[B] = {};
+  for (std::size_t k = 0; k <= h; ++k) {
+    const T tr = taps[k].real(), ti = taps[k].imag();
+    const std::complex<T>* p = x - k;
+    for (std::size_t j = 0; j < B; ++j) {
+      const T xr = p[j * stride].real(), xi = p[j * stride].imag();
+      re[j] = re[j] + (xr * tr - xi * ti);
+      im[j] = im[j] + (xr * ti + xi * tr);
+    }
+  }
+  for (std::size_t j = 0; j < B; ++j) y[j] = {re[j], im[j]};
+}
+
+template <typename T>
+void fir_block_scalar(const std::complex<T>* taps, std::size_t ntaps,
+                      const std::complex<T>* ext, std::complex<T>* y, std::size_t n,
+                      std::size_t stride) {
+  const std::size_t h = ntaps - 1;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) fir_outputs<4>(taps, h, ext + i * stride + h, y + i, stride);
+  for (; i < n; ++i) fir_outputs<1>(taps, h, ext + i * stride + h, y + i, stride);
+}
+
 template <typename T>
 const KernelOps<T>& scalar_ops() {
   static const KernelOps<T> ops = {
       &cmul_scalar<T>,        &cmac_scalar<T>,        &axpy_scalar<T>,
       &scale_scalar<T>,       &scale_real_scalar<T>,  &cdot_conj_scalar<T>,
       &magsq_accum_scalar<T>, &split_scalar<T>,       &interleave_scalar<T>,
-      &radix2_stage_scalar<T>, &radix4_stage_scalar<T>,
+      &radix2_stage_scalar<T>, &radix4_stage_scalar<T>, &fir_block_scalar<T>,
   };
   return ops;
 }
@@ -192,6 +227,8 @@ const KernelOps<T>& scalar_ops() {
                                     std::size_t);                                   \
   template void radix4_stage_scalar(const C##T*, C##T*, const C##T*, std::size_t,  \
                                     std::size_t, bool);                             \
+  template void fir_block_scalar(const C##T*, std::size_t, const C##T*, C##T*,      \
+                                 std::size_t, std::size_t);                         \
   template void cdot_conj_tail(const C##T*, const C##T*, std::size_t, std::size_t, \
                                C##T[4]);                                            \
   template void magsq_accum_tail(const C##T*, std::size_t, std::size_t, T[4]);     \
@@ -352,6 +389,19 @@ void interleave_on(const Ops<T>& ops, std::span<const T> re, std::span<const T> 
   ops.interleave(re.data(), im.data(), out.data(), out.size());
 }
 
+template <typename T>
+void fir_block_on(const Ops<T>& ops, Span<T> taps, Span<T> ext, MutSpan<T> y,
+                  std::size_t stride) {
+  FF_CHECK_MSG(!taps.empty(), "fir_block needs at least one tap");
+  FF_CHECK_MSG(stride >= 1, "fir_block needs stride >= 1");
+  if (y.empty()) return;
+  FF_CHECK_MSG(ext.size() >= (y.size() - 1) * stride + taps.size(),
+               "fir_block: " << y.size() << " outputs at stride " << stride << " over "
+                             << taps.size() << " taps read past the " << ext.size()
+                             << "-sample input");
+  ops.fir_block(taps.data(), taps.size(), ext.data(), y.data(), y.size(), stride);
+}
+
 }  // namespace
 
 using detail::ops;
@@ -383,6 +433,9 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
   ops<double>().radix4_stage(src, dst, tw, quarter, m, invert);
 }
+void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride) {
+  fir_block_on(ops<double>(), taps, ext, y, stride);
+}
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(ops<float>(), a, b, out); }
 void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(ops<float>(), a, b, acc); }
@@ -411,6 +464,9 @@ void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
   ops<float>().radix4_stage(src, dst, tw, quarter, m, invert);
+}
+void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride) {
+  fir_block_on(ops<float>(), taps, ext, y, stride);
 }
 
 // ------------------------------------------------ precision edge conversion
@@ -473,6 +529,9 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
   detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
 }
+void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride) {
+  fir_block_on(scalar_ops<double>(), taps, ext, y, stride);
+}
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(scalar_ops<float>(), a, b, out); }
 void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(scalar_ops<float>(), a, b, acc); }
@@ -503,6 +562,9 @@ void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert) {
   detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
+}
+void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride) {
+  fir_block_on(scalar_ops<float>(), taps, ext, y, stride);
 }
 
 }  // namespace scalar

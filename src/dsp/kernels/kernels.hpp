@@ -20,6 +20,16 @@
 //     re-association. Scalar and SIMD outputs are equal bit for bit, which
 //     tests/kernels_test.cpp asserts on aligned, unaligned and odd-tail
 //     spans.
+//   * fir_block keeps each output in a register and sums its taps in order
+//     from +0 — per output the serial association of a delay-line loop, in
+//     every ISA (scalar and SIMD differ only in how many outputs one pass
+//     carries).
+//   * What the contract does not pin is which NaN a NaN result carries. The
+//     SSE2 tier subtracts by flipping a sign bit, which flips a NaN's sign
+//     too, and when two NaNs meet in one add x86 returns the first
+//     operand's, whose place the compiler picks. A NaN output is NaN in
+//     every tier; its sign and payload may differ (tests/dsp_test.cpp,
+//     Resample.MatchesFilterEveryOutputWithInfAndNaN).
 //   * Reduction kernels (cdot_conj, magsq_accum) define their association
 //     explicitly: term k accumulates into partial sum k mod 4, and the
 //     result is (p0 + p1) + (p2 + p3). The scalar reference implements the
@@ -62,9 +72,8 @@ void cmul(CSpan a, CSpan b, CMutSpan out);
 /// acc[i] += a[i] * b[i]. `acc` must not alias `a`/`b`.
 void cmac(CSpan a, CSpan b, CMutSpan acc);
 
-/// y[i] += alpha * x[i]. The FIR workhorse: a block convolution is one axpy
-/// per tap, which preserves the tap-ascending accumulation order of the
-/// sample-at-a-time reference (see FirFilter::process_into).
+/// y[i] += alpha * x[i]. Its product x[i] * alpha is the term every FIR
+/// output sums (fir_block below); dsp::convolve scatters with it.
 void axpy(Complex alpha, CSpan x, CMutSpan y);
 
 /// out[i] = alpha * x[i]. In-place allowed.
@@ -93,6 +102,20 @@ void split(CSpan x, std::span<double> re, std::span<double> im);
 
 /// Interleave split re/im arrays back into IQ pairs.
 void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out);
+
+// ----------------------------------------------------------------- FIR block
+
+/// The output-stationary FIR under every filter (dsp::fir_core, the
+/// decimating downsample, the polyphase upsample):
+///   y[i] = sum_{k=0..h} taps[k] * ext[i*stride + h - k],  h = taps.size() - 1.
+/// Each output stays in registers and sums its terms in tap order k = 0..h
+/// from +0; each term is the product axpy forms (x * t, then add). So the
+/// result equals zero-filling y and running one axpy per tap over
+/// ext[h - k + i*stride], bit for bit — and equals push() on a delay line.
+/// `stride` > 1 computes only every stride-th output of the unit-stride
+/// filter (decimation). `ext` must hold (y.size()-1)*stride + taps.size()
+/// samples and must not overlap `y`.
+void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride = 1);
 
 // ------------------------------------------------------------- FFT butterflies
 // Stage kernels for the Stockham mixed-radix FFT (dsp::FftPlan). `src` and
@@ -130,6 +153,7 @@ void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert);
+void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride = 1);
 
 // Precision edge conversion (scalar by design: one rounding per sample, the
 // only place a value changes width). narrow() rounds-to-nearest into f32;
@@ -197,6 +221,7 @@ void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert);
+void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride = 1);
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
@@ -211,6 +236,7 @@ void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t quarter, std::size_t m, bool invert);
+void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride = 1);
 }  // namespace scalar
 
 }  // namespace ff::dsp::kernels

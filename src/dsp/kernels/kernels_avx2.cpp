@@ -29,12 +29,16 @@ inline __m256d bcast(const Complex* w) {
   return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w));
 }
 
-// a * b per complex lane: re = ar*br - ai*bi, im = ai*br + ar*bi.
-inline __m256d cmul2(__m256d a, __m256d b) {
-  const __m256d br = _mm256_movedup_pd(b);
-  const __m256d bi = _mm256_permute_pd(b, 0xF);
+// a * b per complex lane with b's parts already broadcast (br = [br, br],
+// bi = [bi, bi]): re = ar*br - ai*bi, im = ai*br + ar*bi.
+inline __m256d cmul2_parts(__m256d a, __m256d br, __m256d bi) {
   const __m256d asw = _mm256_permute_pd(a, 0x5);
   return _mm256_addsub_pd(_mm256_mul_pd(a, br), _mm256_mul_pd(asw, bi));
+}
+
+// a * b per complex lane.
+inline __m256d cmul2(__m256d a, __m256d b) {
+  return cmul2_parts(a, _mm256_movedup_pd(b), _mm256_permute_pd(b, 0xF));
 }
 
 // conj(a) * b per complex lane: re = br*ar + bi*ai, im = bi*ar - br*ai.
@@ -92,6 +96,67 @@ void scale_real_avx2(double alpha, const Complex* x, Complex* out, std::size_t n
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) store2(out + i, _mm256_mul_pd(load2(x + i), av));
   scale_real_scalar(alpha, x + i, out + i, n - i);
+}
+
+// Samples p[0] and p[stride] in one register: the inputs of two adjacent
+// outputs of a (decimating) FIR.
+template <bool kUnit>
+inline __m256d load2_at(const Complex* p, std::size_t stride) {
+  if constexpr (kUnit) {
+    return load2(p);
+  } else {
+    const __m128d lo = _mm_loadu_pd(reinterpret_cast<const double*>(p));
+    const __m128d hi = _mm_loadu_pd(reinterpret_cast<const double*>(p + stride));
+    return _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1);
+  }
+}
+
+// Eight outputs per pass in four accumulators; tap k is broadcast once per
+// pass and met by each accumulator in order, so every output is the scalar
+// core's sum. Unit stride (every FIR in the stream) loads contiguously.
+template <bool kUnit>
+void fir_block_avx2_on(const Complex* taps, std::size_t ntaps, const Complex* ext,
+                       Complex* y, std::size_t n, std::size_t stride) {
+  const std::size_t h = ntaps - 1;
+  const std::size_t s2 = 2 * stride;
+  const double* t = reinterpret_cast<const double*>(taps);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const Complex* x = ext + i * stride + h;
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m256d tr = _mm256_broadcast_sd(t + 2 * k);
+      const __m256d ti = _mm256_broadcast_sd(t + 2 * k + 1);
+      const Complex* p = x - k;
+      a0 = _mm256_add_pd(a0, cmul2_parts(load2_at<kUnit>(p, stride), tr, ti));
+      a1 = _mm256_add_pd(a1, cmul2_parts(load2_at<kUnit>(p + s2, stride), tr, ti));
+      a2 = _mm256_add_pd(a2, cmul2_parts(load2_at<kUnit>(p + 2 * s2, stride), tr, ti));
+      a3 = _mm256_add_pd(a3, cmul2_parts(load2_at<kUnit>(p + 3 * s2, stride), tr, ti));
+    }
+    store2(y + i, a0);
+    store2(y + i + 2, a1);
+    store2(y + i + 4, a2);
+    store2(y + i + 6, a3);
+  }
+  for (; i + 2 <= n; i += 2) {
+    const Complex* x = ext + i * stride + h;
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m256d tr = _mm256_broadcast_sd(t + 2 * k);
+      const __m256d ti = _mm256_broadcast_sd(t + 2 * k + 1);
+      acc = _mm256_add_pd(acc, cmul2_parts(load2_at<kUnit>(x - k, stride), tr, ti));
+    }
+    store2(y + i, acc);
+  }
+  fir_block_scalar(taps, ntaps, ext + i * stride, y + i, n - i, stride);
+}
+
+void fir_block_avx2(const Complex* taps, std::size_t ntaps, const Complex* ext, Complex* y,
+                    std::size_t n, std::size_t stride) {
+  if (stride == 1)
+    fir_block_avx2_on<true>(taps, ntaps, ext, y, n, stride);
+  else
+    fir_block_avx2_on<false>(taps, ntaps, ext, y, n, stride);
 }
 
 Complex cdot_conj_avx2(const Complex* a, const Complex* b, std::size_t n) {
@@ -262,12 +327,16 @@ inline __m256 bcast1f(const Complex32* w) {
   return _mm256_castpd_ps(_mm256_broadcast_sd(reinterpret_cast<const double*>(w)));
 }
 
-// a * b per complex lane: re = ar*br - ai*bi, im = ai*br + ar*bi.
-inline __m256 cmul4f(__m256 a, __m256 b) {
-  const __m256 br = _mm256_moveldup_ps(b);
-  const __m256 bi = _mm256_movehdup_ps(b);
+// a * b per complex lane with b's parts already broadcast:
+// re = ar*br - ai*bi, im = ai*br + ar*bi.
+inline __m256 cmul4f_parts(__m256 a, __m256 br, __m256 bi) {
   const __m256 asw = _mm256_permute_ps(a, 0xB1);
   return _mm256_addsub_ps(_mm256_mul_ps(a, br), _mm256_mul_ps(asw, bi));
+}
+
+// a * b per complex lane.
+inline __m256 cmul4f(__m256 a, __m256 b) {
+  return cmul4f_parts(a, _mm256_moveldup_ps(b), _mm256_movehdup_ps(b));
 }
 
 // conj(a) * b per complex lane: re = br*ar + bi*ai, im = bi*ar - br*ai.
@@ -324,6 +393,67 @@ void scale_real_avx2_32(float alpha, const Complex32* x, Complex32* out, std::si
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) store4f(out + i, _mm256_mul_ps(load4f(x + i), av));
   scale_real_scalar(alpha, x + i, out + i, n - i);
+}
+
+// Samples p[0], p[stride], p[2*stride], p[3*stride] in one register (each
+// complex<float> moves as one 64-bit lane; no FP operation touches it).
+template <bool kUnit>
+inline __m256 load4f_at(const Complex32* p, std::size_t stride) {
+  if constexpr (kUnit) {
+    return load4f(p);
+  } else {
+    const auto* q = reinterpret_cast<const __m64*>(p);
+    const __m128 lo = _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), q), q + stride);
+    const __m128 hi = _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), q + 2 * stride),
+                                   q + 3 * stride);
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+  }
+}
+
+// Sixteen outputs per pass in four accumulators; as fir_block_avx2_on.
+template <bool kUnit>
+void fir_block_avx2_32_on(const Complex32* taps, std::size_t ntaps, const Complex32* ext,
+                          Complex32* y, std::size_t n, std::size_t stride) {
+  const std::size_t h = ntaps - 1;
+  const std::size_t s4 = 4 * stride;
+  const float* t = reinterpret_cast<const float*>(taps);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const Complex32* x = ext + i * stride + h;
+    __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m256 tr = _mm256_broadcast_ss(t + 2 * k);
+      const __m256 ti = _mm256_broadcast_ss(t + 2 * k + 1);
+      const Complex32* p = x - k;
+      a0 = _mm256_add_ps(a0, cmul4f_parts(load4f_at<kUnit>(p, stride), tr, ti));
+      a1 = _mm256_add_ps(a1, cmul4f_parts(load4f_at<kUnit>(p + s4, stride), tr, ti));
+      a2 = _mm256_add_ps(a2, cmul4f_parts(load4f_at<kUnit>(p + 2 * s4, stride), tr, ti));
+      a3 = _mm256_add_ps(a3, cmul4f_parts(load4f_at<kUnit>(p + 3 * s4, stride), tr, ti));
+    }
+    store4f(y + i, a0);
+    store4f(y + i + 4, a1);
+    store4f(y + i + 8, a2);
+    store4f(y + i + 12, a3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    const Complex32* x = ext + i * stride + h;
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m256 tr = _mm256_broadcast_ss(t + 2 * k);
+      const __m256 ti = _mm256_broadcast_ss(t + 2 * k + 1);
+      acc = _mm256_add_ps(acc, cmul4f_parts(load4f_at<kUnit>(x - k, stride), tr, ti));
+    }
+    store4f(y + i, acc);
+  }
+  fir_block_scalar(taps, ntaps, ext + i * stride, y + i, n - i, stride);
+}
+
+void fir_block_avx2_32(const Complex32* taps, std::size_t ntaps, const Complex32* ext,
+                       Complex32* y, std::size_t n, std::size_t stride) {
+  if (stride == 1)
+    fir_block_avx2_32_on<true>(taps, ntaps, ext, y, n, stride);
+  else
+    fir_block_avx2_32_on<false>(taps, ntaps, ext, y, n, stride);
 }
 
 Complex32 cdot_conj_avx2_32(const Complex32* a, const Complex32* b, std::size_t n) {
@@ -530,7 +660,7 @@ const KernelOps<double>& avx2_ops<double>() {
       &cmul_avx2,     &cmac_avx2,        &axpy_avx2,
       &scale_avx2,    &scale_real_avx2,  &cdot_conj_avx2,
       &magsq_accum_avx2, &split_avx2,    &interleave_avx2,
-      &radix2_stage_avx2, &radix4_stage_avx2,
+      &radix2_stage_avx2, &radix4_stage_avx2, &fir_block_avx2,
   };
   return ops;
 }
@@ -541,7 +671,7 @@ const KernelOps<float>& avx2_ops<float>() {
       &cmul_avx2_32,  &cmac_avx2_32,     &axpy_avx2_32,
       &scale_avx2_32, &scale_real_avx2_32, &cdot_conj_avx2_32,
       &magsq_accum_avx2_32, &split_avx2_32, &interleave_avx2_32,
-      &radix2_stage_avx2_32, &radix4_stage_avx2_32,
+      &radix2_stage_avx2_32, &radix4_stage_avx2_32, &fir_block_avx2_32,
   };
   return ops;
 }

@@ -32,6 +32,7 @@ struct KernelOps {
   void (*interleave)(const T*, const T*, C*, std::size_t);
   void (*radix2_stage)(const C*, C*, const C*, std::size_t, std::size_t);
   void (*radix4_stage)(const C*, C*, const C*, std::size_t, std::size_t, bool);
+  void (*fir_block)(const C*, std::size_t, const C*, C*, std::size_t, std::size_t);
 };
 
 // The textbook complex product, spelled out on raw components so no
@@ -92,6 +93,10 @@ template <typename T>
 void radix4_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
                          const std::complex<T>* tw, std::size_t quarter, std::size_t m,
                          bool invert);
+template <typename T>
+void fir_block_scalar(const std::complex<T>* taps, std::size_t ntaps,
+                      const std::complex<T>* ext, std::complex<T>* y, std::size_t n,
+                      std::size_t stride);
 
 // Tail helpers that continue a reduction started by a SIMD loop: terms keep
 // their round-robin lane assignment (term k -> lane k mod 4) so the final

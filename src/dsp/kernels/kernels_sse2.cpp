@@ -36,13 +36,17 @@ inline __m128d subadd(__m128d a, __m128d b) {
   return _mm_add_pd(a, _mm_xor_pd(b, mask));
 }
 
-// a * b: re = ar*br - ai*bi, im = ai*br + ar*bi (same products as the
-// scalar ar*bi + ai*br, addition commuted — bitwise equal).
-inline __m128d cmul(__m128d a, __m128d b) {
-  const __m128d br = _mm_unpacklo_pd(b, b);
-  const __m128d bi = _mm_unpackhi_pd(b, b);
+// a * b with b's parts already broadcast (br = [br, br], bi = [bi, bi]):
+// re = ar*br - ai*bi, im = ai*br + ar*bi (same products as the scalar
+// ar*bi + ai*br, addition commuted — bitwise equal).
+inline __m128d cmul_parts(__m128d a, __m128d br, __m128d bi) {
   const __m128d asw = _mm_shuffle_pd(a, a, 1);
   return addsub(_mm_mul_pd(a, br), _mm_mul_pd(asw, bi));
+}
+
+// a * b.
+inline __m128d cmul(__m128d a, __m128d b) {
+  return cmul_parts(a, _mm_unpacklo_pd(b, b), _mm_unpackhi_pd(b, b));
 }
 
 // conj(a) * b: re = br*ar + bi*ai, im = bi*ar - br*ai.
@@ -81,6 +85,32 @@ void scale_real_sse2(double alpha, const Complex* x, Complex* out, std::size_t n
   const __m128d av = _mm_set1_pd(alpha);
   for (std::size_t i = 0; i < n; ++i)
     storec(out + i, _mm_mul_pd(loadc(x + i), av));
+}
+
+// Four outputs per pass in four accumulators, each meeting the taps in
+// order: the scalar core's sums (kernels.hpp, fir_block).
+void fir_block_sse2(const Complex* taps, std::size_t ntaps, const Complex* ext, Complex* y,
+                    std::size_t n, std::size_t stride) {
+  const std::size_t h = ntaps - 1;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Complex* x = ext + i * stride + h;
+    __m128d a0 = _mm_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m128d tr = _mm_set1_pd(taps[k].real());
+      const __m128d ti = _mm_set1_pd(taps[k].imag());
+      const Complex* p = x - k;
+      a0 = _mm_add_pd(a0, cmul_parts(loadc(p), tr, ti));
+      a1 = _mm_add_pd(a1, cmul_parts(loadc(p + stride), tr, ti));
+      a2 = _mm_add_pd(a2, cmul_parts(loadc(p + 2 * stride), tr, ti));
+      a3 = _mm_add_pd(a3, cmul_parts(loadc(p + 3 * stride), tr, ti));
+    }
+    storec(y + i, a0);
+    storec(y + i + 1, a1);
+    storec(y + i + 2, a2);
+    storec(y + i + 3, a3);
+  }
+  fir_block_scalar(taps, ntaps, ext + i * stride, y + i, n - i, stride);
 }
 
 Complex cdot_conj_sse2(const Complex* a, const Complex* b, std::size_t n) {
@@ -222,13 +252,18 @@ inline __m128 subaddf(__m128 a, __m128 b) {
   return _mm_add_ps(a, _mm_xor_ps(b, mask));
 }
 
-// Two independent complex products, same per-element formula as the scalar
-// reference (addition commuted in the imag lane, bitwise equal).
-inline __m128 cmul2f(__m128 a, __m128 b) {
-  const __m128 br = _mm_shuffle_ps(b, b, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m128 bi = _mm_shuffle_ps(b, b, _MM_SHUFFLE(3, 3, 1, 1));
+// Two independent complex products with b's parts already broadcast, same
+// per-element formula as the scalar reference (addition commuted in the
+// imag lane, bitwise equal).
+inline __m128 cmul2f_parts(__m128 a, __m128 br, __m128 bi) {
   const __m128 asw = _mm_shuffle_ps(a, a, _MM_SHUFFLE(2, 3, 0, 1));
   return addsubf(_mm_mul_ps(a, br), _mm_mul_ps(asw, bi));
+}
+
+// Two independent complex products.
+inline __m128 cmul2f(__m128 a, __m128 b) {
+  return cmul2f_parts(a, _mm_shuffle_ps(b, b, _MM_SHUFFLE(2, 2, 0, 0)),
+                      _mm_shuffle_ps(b, b, _MM_SHUFFLE(3, 3, 1, 1)));
 }
 
 // conj(a) * b on both halves: re = br*ar + bi*ai, im = bi*ar - br*ai.
@@ -276,6 +311,38 @@ void scale_real_sse2_32(float alpha, const Complex32* x, Complex32* out, std::si
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) storec2f(out + i, _mm_mul_ps(loadc2f(x + i), av));
   scale_real_scalar(alpha, x + i, out + i, n - i);
+}
+
+// Samples p[0] and p[stride] in one register (64-bit moves only).
+inline __m128 loadc2f_at(const Complex32* p, std::size_t stride) {
+  const auto* q = reinterpret_cast<const __m64*>(p);
+  return _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), q), q + stride);
+}
+
+// Eight outputs per pass in four accumulators; as fir_block_sse2.
+void fir_block_sse2_32(const Complex32* taps, std::size_t ntaps, const Complex32* ext,
+                       Complex32* y, std::size_t n, std::size_t stride) {
+  const std::size_t h = ntaps - 1;
+  const std::size_t s2 = 2 * stride;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const Complex32* x = ext + i * stride + h;
+    __m128 a0 = _mm_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    for (std::size_t k = 0; k <= h; ++k) {
+      const __m128 tr = _mm_set1_ps(taps[k].real());
+      const __m128 ti = _mm_set1_ps(taps[k].imag());
+      const Complex32* p = x - k;
+      a0 = _mm_add_ps(a0, cmul2f_parts(loadc2f_at(p, stride), tr, ti));
+      a1 = _mm_add_ps(a1, cmul2f_parts(loadc2f_at(p + s2, stride), tr, ti));
+      a2 = _mm_add_ps(a2, cmul2f_parts(loadc2f_at(p + 2 * s2, stride), tr, ti));
+      a3 = _mm_add_ps(a3, cmul2f_parts(loadc2f_at(p + 3 * s2, stride), tr, ti));
+    }
+    storec2f(y + i, a0);
+    storec2f(y + i + 2, a1);
+    storec2f(y + i + 4, a2);
+    storec2f(y + i + 6, a3);
+  }
+  fir_block_scalar(taps, ntaps, ext + i * stride, y + i, n - i, stride);
 }
 
 Complex32 cdot_conj_sse2_32(const Complex32* a, const Complex32* b, std::size_t n) {
@@ -347,7 +414,7 @@ const KernelOps<double>& sse2_ops<double>() {
       &cmul_sse2,     &cmac_sse2,        &axpy_sse2,
       &scale_sse2,    &scale_real_sse2,  &cdot_conj_sse2,
       &magsq_accum_sse2, &split_sse2,    &interleave_sse2,
-      &radix2_stage_sse2, &radix4_stage_sse2,
+      &radix2_stage_sse2, &radix4_stage_sse2, &fir_block_sse2,
   };
   return ops;
 }
@@ -361,7 +428,7 @@ const KernelOps<float>& sse2_ops<float>() {
       &cmul_sse2_32,  &cmac_sse2_32,     &axpy_sse2_32,
       &scale_sse2_32, &scale_real_sse2_32, &cdot_conj_sse2_32,
       &magsq_accum_sse2_32, &split_sse2_32, &interleave_sse2_32,
-      &radix2_stage_scalar<float>, &radix4_stage_scalar<float>,
+      &radix2_stage_scalar<float>, &radix4_stage_scalar<float>, &fir_block_sse2_32,
   };
   return ops;
 }

@@ -15,6 +15,8 @@ namespace ff::dsp {
 
 /// Upsample by an integer factor: zero-stuff then interpolate with a
 /// Hamming-windowed sinc low-pass (cutoff Nyquist/factor, passband gain 1).
+/// Computed polyphase, without the zero terms; the bits are those of
+/// filtering the zero-stuffed input (resample.cpp gives the argument).
 /// Output length = x.size() * factor; the interpolation filter's group
 /// delay (half_width * factor samples at the high rate) is NOT removed —
 /// callers tracking absolute timing must account for it (or apply the same
@@ -22,7 +24,7 @@ namespace ff::dsp {
 CVec upsample(CSpan x, std::size_t factor, std::size_t half_width = 12);
 
 /// Downsample by an integer factor with the matching anti-alias filter.
-/// Output length = x.size() / factor.
+/// Output length = x.size() / factor. Only the kept outputs are filtered.
 CVec downsample(CSpan x, std::size_t factor, std::size_t half_width = 12);
 
 /// The interpolation low-pass used by both directions (exposed for tests).

@@ -254,7 +254,14 @@ std::string format_double(double v) {
 }
 
 std::string format_complex(Complex v) {
-  return "(" + format_double(v.real()) + "," + format_double(v.imag()) + ")";
+  // Appended piecewise: the chained operator+ temporaries draw a false GCC 12
+  // -Wrestrict at -O3.
+  std::string out = "(";
+  out += format_double(v.real());
+  out += ',';
+  out += format_double(v.imag());
+  out += ')';
+  return out;
 }
 
 std::string format_cvec(CSpan v) {

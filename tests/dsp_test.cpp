@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "common/rng.hpp"
@@ -12,6 +13,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/fractional_delay.hpp"
+#include "dsp/kernels/kernels.hpp"
 #include "dsp/noise.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/sequence.hpp"
@@ -436,6 +438,127 @@ TEST(Resample, SingleSampleRoundTrip) {
 TEST(Resample, EmptyInputStaysEmpty) {
   EXPECT_TRUE(dsp::upsample(CVec{}, 4).empty());
   EXPECT_TRUE(dsp::downsample(CVec{}, 4).empty());
+}
+
+// The resamplers as they were before decimation and polyphase: filter every
+// high-rate sample with zero history and one axpy per tap (the old
+// fir_core), then keep every factor-th output, or filter the zero-stuffed
+// input. The new ones must match them bit for bit, specials included.
+CVec filter_by_axpy(CSpan h, CSpan x) {
+  const std::size_t hist = h.size() - 1;
+  CVec ext(hist + x.size()), y(x.size());
+  std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
+  for (std::size_t k = 0; k < h.size(); ++k)
+    dsp::kernels::axpy(h[k], CSpan{ext.data() + (hist - k), x.size()}, y);
+  return y;
+}
+
+CVec upsample_by_stuffing(CSpan x, std::size_t factor) {
+  if (factor == 1) return CVec(x.begin(), x.end());
+  CVec stuffed(x.size() * factor, Complex{});
+  for (std::size_t i = 0; i < x.size(); ++i) stuffed[i * factor] = x[i];
+  return filter_by_axpy(dsp::resample_kernel(factor, 12), stuffed);
+}
+
+CVec downsample_by_picking(CSpan x, std::size_t factor) {
+  if (factor == 1) return CVec(x.begin(), x.end());
+  const CVec filtered = filter_by_axpy(dsp::resample_kernel(factor, 12), x);
+  CVec out(x.size() / factor);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = filtered[i * factor] / static_cast<double>(factor);
+  return out;
+}
+
+bool same_bits(CSpan a, CSpan b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0);
+}
+
+// Bitwise equal, except that a NaN matches any NaN.
+bool same_bits_any_nan(CSpan a, CSpan b) {
+  if (a.size() != b.size()) return false;
+  const auto same = [](double u, double v) {
+    return (std::isnan(u) && std::isnan(v)) || std::memcmp(&u, &v, sizeof u) == 0;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same(a[i].real(), b[i].real()) || !same(a[i].imag(), b[i].imag())) return false;
+  return true;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+
+// Gaussian samples with `specials` planted every 41 samples from index 3.
+CVec resampler_input(std::size_t n, std::uint64_t seed, std::span<const Complex> specials) {
+  Rng rng(seed);
+  CVec x = dsp::awgn(rng, n, 1.0);
+  std::size_t s = 0;
+  for (std::size_t i = 3; i < n; i += 41) x[i] = specials[s++ % specials.size()];
+  return x;
+}
+
+template <typename Same>
+void expect_resamplers_match(std::span<const Complex> specials, Same&& same) {
+  for (const std::size_t factor : {1, 2, 3, 4}) {
+    for (const std::size_t n : {0, 1, 2, 5, 7, 38, 101, 257, 1001}) {
+      const CVec x = resampler_input(n, 1000 * factor + n, specials);
+      EXPECT_TRUE(same(dsp::upsample(x, factor), upsample_by_stuffing(x, factor)))
+          << "upsample factor=" << factor << " n=" << n;
+      EXPECT_TRUE(same(dsp::downsample(x, factor), downsample_by_picking(x, factor)))
+          << "downsample factor=" << factor << " n=" << n;
+    }
+  }
+}
+
+// -0 and subnormals among Gaussian samples: every output bit equal.
+TEST(Resample, MatchesFilterEveryOutputBitForBit) {
+  const Complex specials[] = {{-0.0, -0.0}, {0.0, -0.0}, {kTiny, -3.0 * kTiny},
+                              {1e-310, 0.5}, {-0.0, 1e-315}};
+  expect_resamplers_match(specials, same_bits);
+}
+
+// +-Inf and NaN as well: NaN exactly where the filter-everything path has
+// NaN, every other bit equal. Which NaN encoding an output carries is not
+// pinned by the kernel layer, in either path: Inf * 0 and Inf - Inf give a
+// negative default NaN, the SSE2 tier subtracts by flipping the sign bit
+// (which flips a NaN's sign too), and when two NaNs meet in one add x86
+// returns the first operand's, whose place the compiler picks. The old path
+// gave different bytes in its own scalar and SSE2 tiers on these inputs.
+TEST(Resample, MatchesFilterEveryOutputWithInfAndNaN) {
+  const Complex specials[] = {{kInf, 0.0}, {-0.0, kTiny}, {-kInf, 1.0}, {kNaN, 0.0},
+                              {0.25, -kInf}, {1.0, kNaN}, {-0.0, -0.0}};
+  expect_resamplers_match(specials, same_bits_any_nan);
+}
+
+// Signals made only of specials: every output touches one.
+TEST(Resample, MatchesFilterEveryOutputOnSpecialsOnly) {
+  const CVec finite[] = {
+      CVec(50, Complex{-0.0, -0.0}),
+      CVec(50, Complex{kTiny, -kTiny}),
+      CVec{{-0.0, 0.0}, {0.0, -0.0}, {kTiny, 0.0}},
+      CVec{{1.0, -1.0}},
+  };
+  const CVec non_finite[] = {
+      CVec{{kInf, 0.0}, {0.0, 0.0}, {0.0, -0.0}, {1.0, 1.0}, {-0.0, 2.0}},
+      CVec{{-0.0, 0.0}, {kNaN, kNaN}, {-0.0, -0.0}},
+      CVec{{kNaN, kInf}, {-kInf, kNaN}},
+  };
+  for (const std::size_t factor : {2, 3, 4}) {
+    for (const CVec& x : finite) {
+      EXPECT_TRUE(same_bits(dsp::upsample(x, factor), upsample_by_stuffing(x, factor)))
+          << "upsample factor=" << factor << " n=" << x.size();
+      EXPECT_TRUE(same_bits(dsp::downsample(x, factor), downsample_by_picking(x, factor)))
+          << "downsample factor=" << factor << " n=" << x.size();
+    }
+    for (const CVec& x : non_finite) {
+      EXPECT_TRUE(same_bits_any_nan(dsp::upsample(x, factor), upsample_by_stuffing(x, factor)))
+          << "upsample factor=" << factor << " n=" << x.size();
+      EXPECT_TRUE(
+          same_bits_any_nan(dsp::downsample(x, factor), downsample_by_picking(x, factor)))
+          << "downsample factor=" << factor << " n=" << x.size();
+    }
+  }
 }
 
 TEST(Fir, ProcessIntoMatchesProcessAndSupportsAliasing) {

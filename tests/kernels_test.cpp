@@ -17,11 +17,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/kernels/kernels_detail.hpp"
 #include "dsp/kernels/workspace.hpp"
 #include "relay/pipeline.hpp"
 #include "stream/elements.hpp"
@@ -348,6 +351,109 @@ TEST(KernelsBitwiseF32, SplitInterleaveMatchesScalarAndRoundTrips) {
     EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
     EXPECT_TRUE(bitwise_equal32(got, a)) << "n=" << n;  // round trip
   });
+}
+
+// ------------------------------------------------------ output-stationary FIR
+// kernels::fir_block in every compiled ISA tier must memcmp-match the axpy
+// form it replaced under fir_core: zero-fill the full-rate output, run
+// y += taps[k] * ext[h - k + i] for k ascending, keep every stride-th
+// output. Same sum per output, term for term, at both precisions.
+
+template <typename T>
+k::AlignedVec<T> draw(Rng& rng, std::size_t n) {
+  if constexpr (std::is_same_v<T, double>)
+    return random_vec(rng, n);
+  else
+    return random_vec32(rng, n);
+}
+
+template <typename T>
+bool same_bits(std::span<const std::complex<T>> a, std::span<const std::complex<T>> b) {
+  if constexpr (std::is_same_v<T, double>)
+    return bitwise_equal(a, b);
+  else
+    return bitwise_equal32(a, b);
+}
+
+template <typename T>
+std::vector<std::complex<T>> fir_by_axpy(std::span<const std::complex<T>> taps,
+                                         const std::complex<T>* ext, std::size_t n,
+                                         std::size_t stride) {
+  const std::size_t h = taps.size() - 1;
+  const std::size_t full = n == 0 ? 0 : (n - 1) * stride + 1;
+  std::vector<std::complex<T>> z(full), y(n);
+  for (std::size_t k = 0; k <= h; ++k)
+    k::scalar::axpy(taps[k], std::span<const std::complex<T>>{ext + (h - k), full}, z);
+  for (std::size_t i = 0; i < n; ++i) y[i] = z[i * stride];
+  return y;
+}
+
+template <typename T>
+struct Tier {
+  const char* name;
+  const k::detail::KernelOps<T>* ops;
+};
+
+// Every tier this build compiled and this CPU can run, scalar first.
+template <typename T>
+std::vector<Tier<T>> runnable_tiers() {
+  std::vector<Tier<T>> tiers{{"scalar", &k::detail::scalar_ops<T>()}};
+#if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
+  tiers.push_back({"sse2", &k::detail::sse2_ops<T>()});
+  if (__builtin_cpu_supports("avx2")) tiers.push_back({"avx2", &k::detail::avx2_ops<T>()});
+#endif
+  return tiers;
+}
+
+template <typename T>
+void check_fir_block_all_tiers() {
+  using C = std::complex<T>;
+  using Span = std::span<const C>;
+  Rng rng(20140819);
+  for (const std::size_t ntaps : {1, 2, 12, 64, 97}) {
+    for (const std::size_t stride : {1, 4}) {
+      for (const std::size_t n : kSizes) {
+        const std::size_t need = (n - 1) * stride + ntaps;
+        const k::AlignedVec<T> taps = draw<T>(rng, ntaps + 1);
+        const k::AlignedVec<T> ext = draw<T>(rng, need + 1);
+        for (const std::size_t off : {0, 1}) {  // aligned, then unaligned
+          const Span t{taps.data() + off, ntaps};
+          const Span e{ext.data() + off, need};
+          const std::vector<C> want = fir_by_axpy<T>(t, e.data(), n, stride);
+          for (const Tier<T>& tier : runnable_tiers<T>()) {
+            k::AlignedVec<T> got(n + 1);
+            tier.ops->fir_block(t.data(), ntaps, e.data(), got.data() + off, n, stride);
+            EXPECT_TRUE(same_bits<T>(Span{got.data() + off, n}, want))
+                << tier.name << " taps=" << ntaps << " stride=" << stride << " n=" << n
+                << " offset=" << off;
+          }
+          k::AlignedVec<T> dispatched(n), reference(n);
+          k::fir_block(t, e, dispatched, stride);
+          k::scalar::fir_block(t, e, reference, stride);
+          EXPECT_TRUE(same_bits<T>(dispatched, want)) << "dispatched taps=" << ntaps;
+          EXPECT_TRUE(same_bits<T>(reference, want)) << "scalar taps=" << ntaps;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitwise, FirBlockMatchesAxpyPerTapInEveryTier) {
+  check_fir_block_all_tiers<double>();
+}
+
+TEST(KernelsBitwiseF32, FirBlockMatchesAxpyPerTapInEveryTier) {
+  check_fir_block_all_tiers<float>();
+}
+
+TEST(KernelsBitwise, FirBlockRejectsAShortInput) {
+  const CVec taps(12, Complex{0.5, 0.0});
+  CVec y(8);
+  const CVec ext((y.size() - 1) * 4 + taps.size());
+  EXPECT_NO_THROW(k::fir_block(taps, ext, y, 4));
+  EXPECT_THROW(k::fir_block(taps, CSpan{ext.data(), ext.size() - 1}, y, 4), std::logic_error);
+  EXPECT_THROW(k::fir_block(taps, ext, y, 0), std::logic_error);
+  EXPECT_THROW(k::fir_block(CSpan{}, ext, y, 1), std::logic_error);
 }
 
 // Convert-at-the-edges exactness: widen is exact (every float is a double),
@@ -727,6 +833,27 @@ struct ChannelProbe : stream::ChannelElement {
   using stream::ChannelElement::ChannelElement;
   using stream::ChannelElement::process;
 };
+
+// The block FIR itself, at the relay's and a channel's tap count, in both
+// precisions.
+template <typename T>
+void check_fir_filter_steady_state() {
+  for (const std::size_t ntaps : {12, 77}) {
+    Rng rng(16);
+    dsp::FirFilter<T> fir(k::to_precision<T>(CVec(ntaps, Complex{0.1, -0.05})));
+    std::vector<std::complex<T>> x(256), out(256);
+    for (auto& v : x) v = std::complex<T>(rng.cgaussian());
+    for (int i = 0; i < 3; ++i) fir.process_into(x, out);
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 32; ++i) fir.process_into(x, out);
+    EXPECT_EQ(alloc_count(), before)
+        << "FirFilter::process_into allocated in steady state, taps=" << ntaps;
+  }
+}
+
+TEST(ZeroAllocation, FirFilterSteadyState) { check_fir_filter_steady_state<double>(); }
+
+TEST(ZeroAllocation, FirFilterF32SteadyState) { check_fir_filter_steady_state<float>(); }
 
 // The noisy channel — FIR, AWGN draws and the f32 narrow/widen — in both
 // precisions.
