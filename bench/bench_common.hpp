@@ -72,27 +72,6 @@ inline std::uint64_t fnv1a_accumulate(std::uint64_t h, const void* bytes, std::s
   return h;
 }
 
-/// Checksum of every numeric field of an experiment's results. Two runs are
-/// bit-identical iff their checksums match — this is how the runtime bench
-/// proves the parallel engine's determinism contract holds.
-inline std::uint64_t results_checksum(const ExperimentResults& results) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& r : results) {
-    h = fnv1a_accumulate(h, r.plan.data(), r.plan.size());
-    const double fields[] = {r.client.x,
-                             r.client.y,
-                             r.schemes.ap_only_mbps,
-                             r.schemes.hd_mesh_mbps,
-                             r.schemes.ff_mbps,
-                             r.schemes.af_mbps,
-                             r.schemes.baseline_snr_db,
-                             static_cast<double>(r.schemes.baseline_streams),
-                             static_cast<double>(r.category)};
-    h = fnv1a_accumulate(h, fields, sizeof(fields));
-  }
-  return h;
-}
-
 // ------------------------------------------------------------- experiments
 
 /// Default full-evaluation run (2x2 MIMO, all four floor plans), shared by

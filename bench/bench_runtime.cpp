@@ -83,7 +83,7 @@ ExperimentTiming time_experiment(std::size_t clients, std::size_t threads,
   t.threads = threads;
   ExperimentResults results;
   t.wall_ms = time_once_ms([&] { results = run_experiment(cfg); });
-  t.checksum = results_checksum(results);
+  t.checksum = results.checksum();
   if (with_metrics) {
     const MetricsSnapshot snap = registry.snapshot();
     t.metrics_canonical = snap.to_json(/*include_timer_values=*/false);

@@ -15,14 +15,6 @@ CfoRotator::CfoRotator(double cfo_hz, double sample_rate_hz, double initial_phas
   FF_CHECK(sample_rate_hz > 0.0);
 }
 
-Complex CfoRotator::push(Complex x) {
-  const Complex rot{std::cos(phase_), std::sin(phase_)};
-  phase_ += step_rad_;
-  if (phase_ > kTwoPi) phase_ -= kTwoPi;
-  if (phase_ < -kTwoPi) phase_ += kTwoPi;
-  return x * rot;
-}
-
 CVec CfoRotator::process(CSpan x) {
   CVec out(x.size());
   process_into(x, out);
@@ -36,9 +28,8 @@ void CfoRotator::process_into(CSpan x, CMutSpan out, dsp::kernels::Workspace& ws
                "CfoRotator::process_into needs out.size() == x.size(), got "
                    << out.size() << " vs " << x.size());
   if (x.empty()) return;
-  // Phase recurrence stays scalar and sequential (identical to push(), wrap
-  // included) so the rotation is block-size invariant; only the multiply is
-  // vectorized.
+  // Phase recurrence stays scalar and sequential (wrap included) so the
+  // rotation is block-size invariant; only the multiply is vectorized.
   CMutSpan phasors = ws.get(0, x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     phasors[i] = {std::cos(phase_), std::sin(phase_)};

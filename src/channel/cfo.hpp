@@ -21,9 +21,6 @@ class CfoRotator {
 
   double cfo_hz() const { return cfo_hz_; }
 
-  /// Rotate one sample.
-  Complex push(Complex x);
-
   /// Rotate a block (stateful).
   CVec process(CSpan x);
 
@@ -32,9 +29,9 @@ class CfoRotator {
   /// allocation-free block path.
   ///
   /// The phase recurrence (including the wrap at +/-2pi) advances scalar and
-  /// sample-sequential exactly as push() does — only the complex multiply is
-  /// vectorized (kernels::rotate_phasor over a per-block phasor table) — so
-  /// block and per-sample rotation are bit-identical at any block size.
+  /// sample-sequential — only the complex multiply is vectorized
+  /// (kernels::rotate_phasor over a per-block phasor table) — so the
+  /// rotation is bit-identical at any block size.
   void process_into(CSpan x, CMutSpan out);
 
   /// Same, with the phasor table drawn from a caller-owned Workspace

@@ -26,19 +26,6 @@ MimoChannel MimoChannel::from_siso(const MultipathChannel& ch) {
   return MimoChannel(1, 1, std::move(paths), ch.carrier_hz());
 }
 
-double MimoChannel::min_delay_s() const {
-  if (paths_.empty()) return 0.0;
-  double d = paths_[0].delay_s;
-  for (const auto& p : paths_) d = std::min(d, p.delay_s);
-  return d;
-}
-
-double MimoChannel::max_delay_s() const {
-  double d = 0.0;
-  for (const auto& p : paths_) d = std::max(d, p.delay_s);
-  return d;
-}
-
 linalg::Matrix MimoChannel::response(double f_bb_hz) const {
   linalg::Matrix h(n_rx_, n_tx_);
   for (const auto& p : paths_) {
@@ -51,24 +38,6 @@ linalg::Matrix MimoChannel::response(double f_bb_hz) const {
   return h;
 }
 
-double MimoChannel::mean_power_gain() const {
-  // Paths are delay-separated, so cross-terms average out across the band:
-  // E||H||_F^2 = sum_p |amp|^2 ||a_rx||^2 ||a_tx||^2.
-  double acc = 0.0;
-  for (const auto& p : paths_) {
-    double rx = 0.0, tx = 0.0;
-    for (const Complex v : p.rx_steering) rx += std::norm(v);
-    for (const Complex v : p.tx_steering) tx += std::norm(v);
-    acc += std::norm(p.amp) * rx * tx;
-  }
-  return acc / static_cast<double>(n_rx_ * n_tx_);
-}
-
-double MimoChannel::mean_power_gain_db() const {
-  const double p = mean_power_gain();
-  return p > 0.0 ? db_from_power(p) : -400.0;
-}
-
 MultipathChannel MimoChannel::subchannel(std::size_t rx, std::size_t tx) const {
   FF_CHECK(rx < n_rx_ && tx < n_tx_);
   std::vector<PathTap> taps;
@@ -76,18 +45,6 @@ MultipathChannel MimoChannel::subchannel(std::size_t rx, std::size_t tx) const {
   for (const auto& p : paths_)
     taps.push_back({p.delay_s, p.amp * p.rx_steering[rx] * std::conj(p.tx_steering[tx])});
   return MultipathChannel(std::move(taps), carrier_hz_);
-}
-
-MimoChannel MimoChannel::scaled(double amplitude) const {
-  std::vector<MimoPath> paths = paths_;
-  for (auto& p : paths) p.amp *= amplitude;
-  return MimoChannel(n_rx_, n_tx_, std::move(paths), carrier_hz_);
-}
-
-MimoChannel MimoChannel::delayed(double extra_delay_s) const {
-  std::vector<MimoPath> paths = paths_;
-  for (auto& p : paths) p.delay_s += extra_delay_s;
-  return MimoChannel(n_rx_, n_tx_, std::move(paths), carrier_hz_);
 }
 
 }  // namespace ff::channel

@@ -41,25 +41,11 @@ class MimoChannel {
   double carrier_hz() const { return carrier_hz_; }
   bool empty() const { return paths_.empty(); }
 
-  double min_delay_s() const;
-  double max_delay_s() const;
-
   /// Channel matrix at baseband frequency offset `f_bb_hz`.
   linalg::Matrix response(double f_bb_hz) const;
 
-  /// Average per-antenna-pair power gain: ||H||_F^2 / (n_rx * n_tx) averaged
-  /// over paths (frequency-flat aggregate).
-  double mean_power_gain() const;
-  double mean_power_gain_db() const;
-
   /// Scalar sub-channel between rx antenna i and tx antenna j.
   MultipathChannel subchannel(std::size_t rx, std::size_t tx) const;
-
-  /// Scale all path amplitudes.
-  MimoChannel scaled(double amplitude) const;
-
-  /// Add processing/propagation delay to every path.
-  MimoChannel delayed(double extra_delay_s) const;
 
  private:
   std::size_t n_rx_ = 0, n_tx_ = 0;

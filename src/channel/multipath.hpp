@@ -74,9 +74,4 @@ class MultipathChannel {
   double carrier_hz_ = 2.45e9;
 };
 
-/// Series composition of two SISO channels evaluated in frequency domain at
-/// the given baseband frequencies: H(f) = Ha(f) * Hb(f). (Used for
-/// source->relay->destination cascades in the frequency-domain evaluator.)
-CVec cascade_response(const MultipathChannel& a, const MultipathChannel& b, RSpan f_bb_hz);
-
 }  // namespace ff::channel

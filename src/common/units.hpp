@@ -22,16 +22,6 @@ inline double db_from_amplitude(double ratio) { return 20.0 * std::log10(ratio);
 /// dB -> amplitude ratio.
 inline double amplitude_from_db(double db) { return std::pow(10.0, db / 20.0); }
 
-/// dBm -> watts and back (power referenced to 1 mW).
-inline double watts_from_dbm(double dbm) { return 1e-3 * power_from_db(dbm); }
-inline double dbm_from_watts(double w) { return db_from_power(w / 1e-3); }
-
-/// Thermal noise floor for bandwidth `bw_hz` at the given noise figure.
-/// kT = -174 dBm/Hz at 290 K.
-inline double thermal_noise_dbm(double bw_hz, double noise_figure_db = 0.0) {
-  return -174.0 + 10.0 * std::log10(bw_hz) + noise_figure_db;
-}
-
 /// Degrees <-> radians.
 inline double rad_from_deg(double deg) { return deg * kPi / 180.0; }
 inline double deg_from_rad(double rad) { return rad * 180.0 / kPi; }

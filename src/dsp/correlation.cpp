@@ -7,14 +7,6 @@
 
 namespace ff::dsp {
 
-CVec cross_correlate(CSpan x, CSpan ref) {
-  if (x.size() < ref.size() || ref.empty()) return {};
-  CVec out(x.size() - ref.size() + 1, Complex{});
-  for (std::size_t n = 0; n < out.size(); ++n)
-    out[n] = kernels::cdot_conj(ref, CSpan{x.data() + n, ref.size()});
-  return out;
-}
-
 std::vector<double> normalized_correlation(CSpan x, CSpan ref) {
   if (x.size() < ref.size() || ref.empty()) return {};
   const double ref_norm = std::sqrt(kernels::magsq_accum(ref));
@@ -31,14 +23,6 @@ std::vector<double> normalized_correlation(CSpan x, CSpan ref) {
     if (n + ref.size() < x.size())
       win_energy += std::norm(x[n + ref.size()]) - std::norm(x[n]);
   }
-  return out;
-}
-
-CVec autocorrelate(CSpan x, std::size_t max_lag) {
-  CVec out(max_lag + 1, Complex{});
-  for (std::size_t l = 0; l <= max_lag && l < x.size(); ++l)
-    out[l] = kernels::cdot_conj(CSpan{x.data(), x.size() - l},
-                                CSpan{x.data() + l, x.size() - l});
   return out;
 }
 

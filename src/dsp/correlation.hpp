@@ -8,18 +8,11 @@
 
 namespace ff::dsp {
 
-/// Sliding cross-correlation of `x` against template `ref`:
-///   c[n] = sum_k conj(ref[k]) x[n+k],   n in [0, x.size()-ref.size()].
-/// Empty if x is shorter than ref.
-CVec cross_correlate(CSpan x, CSpan ref);
-
 /// Normalized sliding correlation magnitude in [0, 1]:
-///   m[n] = |c[n]| / (||ref|| * ||x[n..n+K)||).
+///   m[n] = |c[n]| / (||ref|| * ||x[n..n+K)||),
+/// c[n] = sum_k conj(ref[k]) x[n+k],   n in [0, x.size()-ref.size()].
 /// Robust detection statistic: invariant to signal scale.
 std::vector<double> normalized_correlation(CSpan x, CSpan ref);
-
-/// Lag-domain autocorrelation r[l] = sum_n conj(x[n]) x[n+l] for l in [0, max_lag].
-CVec autocorrelate(CSpan x, std::size_t max_lag);
 
 /// Index of the maximum of a real sequence (first occurrence).
 std::size_t argmax(std::span<const double> v);

@@ -225,20 +225,6 @@ CVec ifft(CSpan x) {
   return out;
 }
 
-CVec fftshift(CSpan x) {
-  CVec out(x.size());
-  const std::size_t h = (x.size() + 1) / 2;  // elements in the first half
-  for (std::size_t i = 0; i < x.size(); ++i) out[(i + x.size() - h) % x.size()] = x[i];
-  return out;
-}
-
-CVec ifftshift(CSpan x) {
-  CVec out(x.size());
-  const std::size_t h = x.size() / 2;
-  for (std::size_t i = 0; i < x.size(); ++i) out[(i + x.size() - h) % x.size()] = x[i];
-  return out;
-}
-
 CVec fft_convolve(CSpan a, CSpan b) {
   if (a.empty() || b.empty()) return {};
   const std::size_t out_len = a.size() + b.size() - 1;

@@ -116,11 +116,6 @@ bool is_power_of_two(std::size_t n);
 /// Smallest power of two >= n.
 std::size_t next_power_of_two(std::size_t n);
 
-/// Circular frequency shift helpers: reorder a spectrum between
-/// "DC-first" (natural FFT order) and "negative-frequencies-first" layouts.
-CVec fftshift(CSpan x);
-CVec ifftshift(CSpan x);
-
 /// Linear convolution of two sequences via zero-padded FFT. Scratch comes
 /// from per-thread workspace slots — only the returned vector is allocated.
 CVec fft_convolve(CSpan a, CSpan b);

@@ -26,31 +26,12 @@ void cmul_scalar(const std::complex<T>* a, const std::complex<T>* b,
 }
 
 template <typename T>
-void cmac_scalar(const std::complex<T>* a, const std::complex<T>* b,
-                 std::complex<T>* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::complex<T> p = cmul_one(a[i], b[i]);
-    acc[i] = {acc[i].real() + p.real(), acc[i].imag() + p.imag()};
-  }
-}
-
-template <typename T>
 void axpy_scalar(std::complex<T> alpha, const std::complex<T>* x, std::complex<T>* y,
                  std::size_t n) {
   const T ar = alpha.real(), ai = alpha.imag();
   for (std::size_t i = 0; i < n; ++i) {
     const T xr = x[i].real(), xi = x[i].imag();
     y[i] = {y[i].real() + (xr * ar - xi * ai), y[i].imag() + (xr * ai + xi * ar)};
-  }
-}
-
-template <typename T>
-void scale_scalar(std::complex<T> alpha, const std::complex<T>* x,
-                  std::complex<T>* out, std::size_t n) {
-  const T ar = alpha.real(), ai = alpha.imag();
-  for (std::size_t i = 0; i < n; ++i) {
-    const T xr = x[i].real(), xi = x[i].imag();
-    out[i] = {xr * ar - xi * ai, xr * ai + xi * ar};
   }
 }
 
@@ -97,19 +78,6 @@ T magsq_accum_scalar(const std::complex<T>* x, std::size_t n) {
   T lanes[4] = {};
   magsq_accum_tail(x, 0, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-template <typename T>
-void split_scalar(const std::complex<T>* x, T* re, T* im, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = x[i].real();
-    im[i] = x[i].imag();
-  }
-}
-
-template <typename T>
-void interleave_scalar(const T* re, const T* im, std::complex<T>* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = {re[i], im[i]};
 }
 
 template <typename T>
@@ -203,10 +171,9 @@ void fir_block_scalar(const std::complex<T>* taps, std::size_t ntaps,
 template <typename T>
 const KernelOps<T>& scalar_ops() {
   static const KernelOps<T> ops = {
-      &cmul_scalar<T>,        &cmac_scalar<T>,        &axpy_scalar<T>,
-      &scale_scalar<T>,       &scale_real_scalar<T>,  &cdot_conj_scalar<T>,
-      &magsq_accum_scalar<T>, &split_scalar<T>,       &interleave_scalar<T>,
-      &radix2_stage_scalar<T>, &radix4_stage_scalar<T>, &fir_block_scalar<T>,
+      &cmul_scalar<T>,         &axpy_scalar<T>,         &scale_real_scalar<T>,
+      &cdot_conj_scalar<T>,    &magsq_accum_scalar<T>,  &radix2_stage_scalar<T>,
+      &radix4_stage_scalar<T>, &fir_block_scalar<T>,
   };
   return ops;
 }
@@ -215,14 +182,10 @@ const KernelOps<T>& scalar_ops() {
 #define FF_INSTANTIATE_SCALAR_CORES(T)                                              \
   using C##T = std::complex<T>;                                                     \
   template void cmul_scalar(const C##T*, const C##T*, C##T*, std::size_t);         \
-  template void cmac_scalar(const C##T*, const C##T*, C##T*, std::size_t);         \
   template void axpy_scalar(C##T, const C##T*, C##T*, std::size_t);                \
-  template void scale_scalar(C##T, const C##T*, C##T*, std::size_t);               \
   template void scale_real_scalar(T, const C##T*, C##T*, std::size_t);             \
   template C##T cdot_conj_scalar(const C##T*, const C##T*, std::size_t);           \
   template T magsq_accum_scalar(const C##T*, std::size_t);                         \
-  template void split_scalar(const C##T*, T*, T*, std::size_t);                    \
-  template void interleave_scalar(const T*, const T*, C##T*, std::size_t);         \
   template void radix2_stage_scalar(const C##T*, C##T*, const C##T*, std::size_t,  \
                                     std::size_t);                                   \
   template void radix4_stage_scalar(const C##T*, C##T*, const C##T*, std::size_t,  \
@@ -336,21 +299,9 @@ void cmul_on(const Ops<T>& ops, Span<T> a, Span<T> b, MutSpan<T> out) {
 }
 
 template <typename T>
-void cmac_on(const Ops<T>& ops, Span<T> a, Span<T> b, MutSpan<T> acc) {
-  FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  ops.cmac(a.data(), b.data(), acc.data(), a.size());
-}
-
-template <typename T>
 void axpy_on(const Ops<T>& ops, std::complex<T> alpha, Span<T> x, MutSpan<T> y) {
   FF_CHECK(x.size() == y.size());
   ops.axpy(alpha, x.data(), y.data(), x.size());
-}
-
-template <typename T>
-void scale_on(const Ops<T>& ops, std::complex<T> alpha, Span<T> x, MutSpan<T> out) {
-  FF_CHECK(x.size() == out.size());
-  ops.scale(alpha, x.data(), out.data(), x.size());
 }
 
 template <typename T>
@@ -377,19 +328,6 @@ T magsq_accum_on(const Ops<T>& ops, Span<T> x) {
 }
 
 template <typename T>
-void split_on(const Ops<T>& ops, Span<T> x, std::span<T> re, std::span<T> im) {
-  FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  ops.split(x.data(), re.data(), im.data(), x.size());
-}
-
-template <typename T>
-void interleave_on(const Ops<T>& ops, std::span<const T> re, std::span<const T> im,
-                   MutSpan<T> out) {
-  FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  ops.interleave(re.data(), im.data(), out.data(), out.size());
-}
-
-template <typename T>
 void fir_block_on(const Ops<T>& ops, Span<T> taps, Span<T> ext, MutSpan<T> y,
                   std::size_t stride) {
   FF_CHECK_MSG(!taps.empty(), "fir_block needs at least one tap");
@@ -408,9 +346,7 @@ using detail::ops;
 using detail::scalar_ops;
 
 void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(ops<double>(), a, b, out); }
-void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(ops<double>(), a, b, acc); }
 void axpy(Complex alpha, CSpan x, CMutSpan y) { axpy_on(ops<double>(), alpha, x, y); }
-void scale(Complex alpha, CSpan x, CMutSpan out) { scale_on(ops<double>(), alpha, x, out); }
 void scale_real(double alpha, CSpan x, CMutSpan out) {
   scale_real_on(ops<double>(), alpha, x, out);
 }
@@ -419,12 +355,6 @@ void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
 }
 Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(ops<double>(), a, b); }
 double magsq_accum(CSpan x) { return magsq_accum_on(ops<double>(), x); }
-void split(CSpan x, std::span<double> re, std::span<double> im) {
-  split_on(ops<double>(), x, re, im);
-}
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
-  interleave_on(ops<double>(), re, im, out);
-}
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m) {
   ops<double>().radix2_stage(src, dst, tw, half, m);
@@ -438,11 +368,7 @@ void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride) {
 }
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(ops<float>(), a, b, out); }
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(ops<float>(), a, b, acc); }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) { axpy_on(ops<float>(), alpha, x, y); }
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  scale_on(ops<float>(), alpha, x, out);
-}
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
   scale_real_on(ops<float>(), alpha, x, out);
 }
@@ -451,12 +377,6 @@ void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
 }
 Complex32 cdot_conj(CSpan32 a, CSpan32 b) { return cdot_conj_on(ops<float>(), a, b); }
 float magsq_accum(CSpan32 x) { return magsq_accum_on(ops<float>(), x); }
-void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  split_on(ops<float>(), x, re, im);
-}
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  interleave_on(ops<float>(), re, im, out);
-}
 void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m) {
   ops<float>().radix2_stage(src, dst, tw, half, m);
@@ -500,12 +420,8 @@ CVec widened(CSpan32 x) {
 namespace scalar {
 
 void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(scalar_ops<double>(), a, b, out); }
-void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(scalar_ops<double>(), a, b, acc); }
 void axpy(Complex alpha, CSpan x, CMutSpan y) {
   axpy_on(scalar_ops<double>(), alpha, x, y);
-}
-void scale(Complex alpha, CSpan x, CMutSpan out) {
-  scale_on(scalar_ops<double>(), alpha, x, out);
 }
 void scale_real(double alpha, CSpan x, CMutSpan out) {
   scale_real_on(scalar_ops<double>(), alpha, x, out);
@@ -515,31 +431,13 @@ void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
 }
 Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(scalar_ops<double>(), a, b); }
 double magsq_accum(CSpan x) { return magsq_accum_on(scalar_ops<double>(), x); }
-void split(CSpan x, std::span<double> re, std::span<double> im) {
-  split_on(scalar_ops<double>(), x, re, im);
-}
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
-  interleave_on(scalar_ops<double>(), re, im, out);
-}
-void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
-                  std::size_t half, std::size_t m) {
-  detail::radix2_stage_scalar(src, dst, tw, half, m);
-}
-void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
-                  std::size_t quarter, std::size_t m, bool invert) {
-  detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
-}
 void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride) {
   fir_block_on(scalar_ops<double>(), taps, ext, y, stride);
 }
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(scalar_ops<float>(), a, b, out); }
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(scalar_ops<float>(), a, b, acc); }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
   axpy_on(scalar_ops<float>(), alpha, x, y);
-}
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  scale_on(scalar_ops<float>(), alpha, x, out);
 }
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
   scale_real_on(scalar_ops<float>(), alpha, x, out);
@@ -549,20 +447,6 @@ void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
 }
 Complex32 cdot_conj(CSpan32 a, CSpan32 b) { return cdot_conj_on(scalar_ops<float>(), a, b); }
 float magsq_accum(CSpan32 x) { return magsq_accum_on(scalar_ops<float>(), x); }
-void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  split_on(scalar_ops<float>(), x, re, im);
-}
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  interleave_on(scalar_ops<float>(), re, im, out);
-}
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m) {
-  detail::radix2_stage_scalar(src, dst, tw, half, m);
-}
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert) {
-  detail::radix4_stage_scalar(src, dst, tw, quarter, m, invert);
-}
 void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride) {
   fir_block_on(scalar_ops<float>(), taps, ext, y, stride);
 }

@@ -13,11 +13,11 @@
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
 //
-//   * Elementwise kernels (cmul, cmac, axpy, scale, rotate_phasor, split,
-//     interleave) perform IDENTICAL per-element arithmetic in every ISA:
-//     the textbook complex product re = ar*br - ai*bi, im = ar*bi + ai*br,
-//     no FMA contraction (the kernel TUs are built -ffp-contract=off), no
-//     re-association. Scalar and SIMD outputs are equal bit for bit, which
+//   * Elementwise kernels (cmul, axpy, scale_real, rotate_phasor) perform
+//     IDENTICAL per-element arithmetic in every ISA: the textbook complex
+//     product re = ar*br - ai*bi, im = ar*bi + ai*br, no FMA contraction
+//     (the kernel TUs are built -ffp-contract=off), no re-association.
+//     Scalar and SIMD outputs are equal bit for bit, which
 //     tests/kernels_test.cpp asserts on aligned, unaligned and odd-tail
 //     spans.
 //   * fir_block keeps each output in a register and sums its taps in order
@@ -69,15 +69,9 @@ bool simd_compiled();
 /// out[i] = a[i] * b[i]. `out` may alias `a` or `b` exactly.
 void cmul(CSpan a, CSpan b, CMutSpan out);
 
-/// acc[i] += a[i] * b[i]. `acc` must not alias `a`/`b`.
-void cmac(CSpan a, CSpan b, CMutSpan acc);
-
 /// y[i] += alpha * x[i]. Its product x[i] * alpha is the term every FIR
 /// output sums (fir_block below); dsp::convolve scatters with it.
 void axpy(Complex alpha, CSpan x, CMutSpan y);
-
-/// out[i] = alpha * x[i]. In-place allowed.
-void scale(Complex alpha, CSpan x, CMutSpan out);
 
 /// out[i] = alpha * x[i] with a real scalar (the inverse-FFT 1/N).
 void scale_real(double alpha, CSpan x, CMutSpan out);
@@ -94,14 +88,6 @@ Complex cdot_conj(CSpan a, CSpan b);
 
 /// sum_k |x[k]|^2 (re^2 + im^2 per element, then four-lane accumulation).
 double magsq_accum(CSpan x);
-
-// -------------------------------------------------------- layout conversion
-
-/// Deinterleave IQ pairs into split re/im arrays (planar layout).
-void split(CSpan x, std::span<double> re, std::span<double> im);
-
-/// Interleave split re/im arrays back into IQ pairs.
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out);
 
 // ----------------------------------------------------------------- FIR block
 
@@ -140,15 +126,11 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 // the double kernels (docs/PERFORMANCE.md, "The float32 family").
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
 Complex32 cdot_conj(CSpan32 a, CSpan32 b);
 float magsq_accum(CSpan32 x);
-void split(CSpan32 x, std::span<float> re, std::span<float> im);
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out);
 void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
@@ -208,34 +190,18 @@ void store_block(std::span<const std::complex<T>> y, CMutSpan out) {
 // tests/bench compare the SIMD paths against.
 namespace scalar {
 void cmul(CSpan a, CSpan b, CMutSpan out);
-void cmac(CSpan a, CSpan b, CMutSpan acc);
 void axpy(Complex alpha, CSpan x, CMutSpan y);
-void scale(Complex alpha, CSpan x, CMutSpan out);
 void scale_real(double alpha, CSpan x, CMutSpan out);
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out);
 Complex cdot_conj(CSpan a, CSpan b);
 double magsq_accum(CSpan x);
-void split(CSpan x, std::span<double> re, std::span<double> im);
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out);
-void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
-                  std::size_t half, std::size_t m);
-void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
-                  std::size_t quarter, std::size_t m, bool invert);
 void fir_block(CSpan taps, CSpan ext, CMutSpan y, std::size_t stride = 1);
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
 void scale_real(float alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
 Complex32 cdot_conj(CSpan32 a, CSpan32 b);
 float magsq_accum(CSpan32 x);
-void split(CSpan32 x, std::span<float> re, std::span<float> im);
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out);
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m);
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert);
 void fir_block(CSpan32 taps, CSpan32 ext, CMutSpan32 y, std::size_t stride = 1);
 }  // namespace scalar
 

@@ -59,15 +59,6 @@ void cmul_avx2(const Complex* a, const Complex* b, Complex* out, std::size_t n) 
   cmul_scalar(a + i, b + i, out + i, n - i);
 }
 
-void cmac_avx2(const Complex* a, const Complex* b, Complex* acc, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d p = cmul2(load2(a + i), load2(b + i));
-    store2(acc + i, _mm256_add_pd(load2(acc + i), p));
-  }
-  cmac_scalar(a + i, b + i, acc + i, n - i);
-}
-
 void axpy_avx2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
   const __m256d av = bcast(&alpha);
   std::size_t i = 0;
@@ -82,13 +73,6 @@ void axpy_avx2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
     store2(y + i, _mm256_add_pd(load2(y + i), p));
   }
   axpy_scalar(alpha, x + i, y + i, n - i);
-}
-
-void scale_avx2(Complex alpha, const Complex* x, Complex* out, std::size_t n) {
-  const __m256d av = bcast(&alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) store2(out + i, cmul2(load2(x + i), av));
-  scale_scalar(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_avx2(double alpha, const Complex* x, Complex* out, std::size_t n) {
@@ -198,30 +182,6 @@ double magsq_accum_avx2(const Complex* x, std::size_t n) {
   double lanes[4] = {e[0], e[2], e[1], e[3]};
   magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void split_avx2(const Complex* x, double* re, double* im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v0 = load2(x + i);      // [r0 i0 r1 i1]
-    const __m256d v1 = load2(x + i + 2);  // [r2 i2 r3 i3]
-    const __m256d lo = _mm256_unpacklo_pd(v0, v1);  // [r0 r2 r1 r3]
-    const __m256d hi = _mm256_unpackhi_pd(v0, v1);  // [i0 i2 i1 i3]
-    _mm256_storeu_pd(re + i, _mm256_permute4x64_pd(lo, 0xD8));  // [r0 r1 r2 r3]
-    _mm256_storeu_pd(im + i, _mm256_permute4x64_pd(hi, 0xD8));
-  }
-  split_scalar(x + i, re + i, im + i, n - i);
-}
-
-void interleave_avx2(const double* re, const double* im, Complex* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vr = _mm256_permute4x64_pd(_mm256_loadu_pd(re + i), 0xD8);  // [r0 r2 r1 r3]
-    const __m256d vi = _mm256_permute4x64_pd(_mm256_loadu_pd(im + i), 0xD8);  // [i0 i2 i1 i3]
-    store2(out + i, _mm256_unpacklo_pd(vr, vi));      // [r0 i0 r1 i1]
-    store2(out + i + 2, _mm256_unpackhi_pd(vr, vi));  // [r2 i2 r3 i3]
-  }
-  interleave_scalar(re + i, im + i, out + i, n - i);
 }
 
 void radix2_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
@@ -356,15 +316,6 @@ void cmul_avx2_32(const Complex32* a, const Complex32* b, Complex32* out, std::s
   cmul_scalar(a + i, b + i, out + i, n - i);
 }
 
-void cmac_avx2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 p = cmul4f(load4f(a + i), load4f(b + i));
-    store4f(acc + i, _mm256_add_ps(load4f(acc + i), p));
-  }
-  cmac_scalar(a + i, b + i, acc + i, n - i);
-}
-
 void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
   const __m256 av = bcast1f(&alpha);
   std::size_t i = 0;
@@ -379,13 +330,6 @@ void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
     store4f(y + i, _mm256_add_ps(load4f(y + i), p));
   }
   axpy_scalar(alpha, x + i, y + i, n - i);
-}
-
-void scale_avx2_32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n) {
-  const __m256 av = bcast1f(&alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) store4f(out + i, cmul4f(load4f(x + i), av));
-  scale_scalar(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_avx2_32(float alpha, const Complex32* x, Complex32* out, std::size_t n) {
@@ -491,32 +435,6 @@ float magsq_accum_avx2_32(const Complex32* x, std::size_t n) {
   _mm_storeu_ps(lanes, vacc);
   magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void split_avx2_32(const Complex32* x, float* re, float* im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v0 = load4f(x + i);      // [r0 i0 r1 i1 | r2 i2 r3 i3]
-    const __m256 v1 = load4f(x + i + 4);  // [r4 i4 r5 i5 | r6 i6 r7 i7]
-    const __m256 lo = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));  // [r0 r1 r4 r5 | r2 r3 r6 r7]
-    const __m256 hi = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));  // imag twin
-    _mm256_storeu_ps(re + i, _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(lo), 0xD8)));
-    _mm256_storeu_ps(im + i, _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(hi), 0xD8)));
-  }
-  split_scalar(x + i, re + i, im + i, n - i);
-}
-
-void interleave_avx2_32(const float* re, const float* im, Complex32* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vr = _mm256_castpd_ps(
-        _mm256_permute4x64_pd(_mm256_castps_pd(_mm256_loadu_ps(re + i)), 0xD8));  // [r0 r1 r4 r5 | r2 r3 r6 r7]
-    const __m256 vi = _mm256_castpd_ps(
-        _mm256_permute4x64_pd(_mm256_castps_pd(_mm256_loadu_ps(im + i)), 0xD8));
-    store4f(out + i, _mm256_unpacklo_ps(vr, vi));      // [r0 i0 r1 i1 | r2 i2 r3 i3]
-    store4f(out + i + 4, _mm256_unpackhi_ps(vr, vi));  // [r4 i4 r5 i5 | r6 i6 r7 i7]
-  }
-  interleave_scalar(re + i, im + i, out + i, n - i);
 }
 
 void radix2_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32* tw,
@@ -657,10 +575,9 @@ void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
 template <>
 const KernelOps<double>& avx2_ops<double>() {
   static const KernelOps<double> ops = {
-      &cmul_avx2,     &cmac_avx2,        &axpy_avx2,
-      &scale_avx2,    &scale_real_avx2,  &cdot_conj_avx2,
-      &magsq_accum_avx2, &split_avx2,    &interleave_avx2,
-      &radix2_stage_avx2, &radix4_stage_avx2, &fir_block_avx2,
+      &cmul_avx2,         &axpy_avx2,         &scale_real_avx2,
+      &cdot_conj_avx2,    &magsq_accum_avx2,  &radix2_stage_avx2,
+      &radix4_stage_avx2, &fir_block_avx2,
   };
   return ops;
 }
@@ -668,10 +585,9 @@ const KernelOps<double>& avx2_ops<double>() {
 template <>
 const KernelOps<float>& avx2_ops<float>() {
   static const KernelOps<float> ops = {
-      &cmul_avx2_32,  &cmac_avx2_32,     &axpy_avx2_32,
-      &scale_avx2_32, &scale_real_avx2_32, &cdot_conj_avx2_32,
-      &magsq_accum_avx2_32, &split_avx2_32, &interleave_avx2_32,
-      &radix2_stage_avx2_32, &radix4_stage_avx2_32, &fir_block_avx2_32,
+      &cmul_avx2_32,         &axpy_avx2_32,         &scale_real_avx2_32,
+      &cdot_conj_avx2_32,    &magsq_accum_avx2_32,  &radix2_stage_avx2_32,
+      &radix4_stage_avx2_32, &fir_block_avx2_32,
   };
   return ops;
 }

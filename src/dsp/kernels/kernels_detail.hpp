@@ -22,14 +22,10 @@ template <typename T>
 struct KernelOps {
   using C = std::complex<T>;
   void (*cmul)(const C*, const C*, C*, std::size_t);
-  void (*cmac)(const C*, const C*, C*, std::size_t);
   void (*axpy)(C, const C*, C*, std::size_t);
-  void (*scale)(C, const C*, C*, std::size_t);
   void (*scale_real)(T, const C*, C*, std::size_t);
   C (*cdot_conj)(const C*, const C*, std::size_t);
   T (*magsq_accum)(const C*, std::size_t);
-  void (*split)(const C*, T*, T*, std::size_t);
-  void (*interleave)(const T*, const T*, C*, std::size_t);
   void (*radix2_stage)(const C*, C*, const C*, std::size_t, std::size_t);
   void (*radix4_stage)(const C*, C*, const C*, std::size_t, std::size_t, bool);
   void (*fir_block)(const C*, std::size_t, const C*, C*, std::size_t, std::size_t);
@@ -66,14 +62,8 @@ template <typename T>
 void cmul_scalar(const std::complex<T>* a, const std::complex<T>* b,
                  std::complex<T>* out, std::size_t n);
 template <typename T>
-void cmac_scalar(const std::complex<T>* a, const std::complex<T>* b,
-                 std::complex<T>* acc, std::size_t n);
-template <typename T>
 void axpy_scalar(std::complex<T> alpha, const std::complex<T>* x, std::complex<T>* y,
                  std::size_t n);
-template <typename T>
-void scale_scalar(std::complex<T> alpha, const std::complex<T>* x,
-                  std::complex<T>* out, std::size_t n);
 template <typename T>
 void scale_real_scalar(T alpha, const std::complex<T>* x, std::complex<T>* out,
                        std::size_t n);
@@ -82,10 +72,6 @@ std::complex<T> cdot_conj_scalar(const std::complex<T>* a, const std::complex<T>
                                  std::size_t n);
 template <typename T>
 T magsq_accum_scalar(const std::complex<T>* x, std::size_t n);
-template <typename T>
-void split_scalar(const std::complex<T>* x, T* re, T* im, std::size_t n);
-template <typename T>
-void interleave_scalar(const T* re, const T* im, std::complex<T>* out, std::size_t n);
 template <typename T>
 void radix2_stage_scalar(const std::complex<T>* src, std::complex<T>* dst,
                          const std::complex<T>* tw, std::size_t half, std::size_t m);

@@ -61,24 +61,12 @@ void cmul_sse2(const Complex* a, const Complex* b, Complex* out, std::size_t n) 
   for (std::size_t i = 0; i < n; ++i) storec(out + i, cmul(loadc(a + i), loadc(b + i)));
 }
 
-void cmac_sse2(const Complex* a, const Complex* b, Complex* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d p = cmul(loadc(a + i), loadc(b + i));
-    storec(acc + i, _mm_add_pd(loadc(acc + i), p));
-  }
-}
-
 void axpy_sse2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
   const __m128d av = loadc(&alpha);
   for (std::size_t i = 0; i < n; ++i) {
     const __m128d p = cmul(loadc(x + i), av);
     storec(y + i, _mm_add_pd(loadc(y + i), p));
   }
-}
-
-void scale_sse2(Complex alpha, const Complex* x, Complex* out, std::size_t n) {
-  const __m128d av = loadc(&alpha);
-  for (std::size_t i = 0; i < n; ++i) storec(out + i, cmul(loadc(x + i), av));
 }
 
 void scale_real_sse2(double alpha, const Complex* x, Complex* out, std::size_t n) {
@@ -146,28 +134,6 @@ double magsq_accum_sse2(const Complex* x, std::size_t n) {
   }
   magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void split_sse2(const Complex* x, double* re, double* im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d v0 = loadc(x + i);
-    const __m128d v1 = loadc(x + i + 1);
-    _mm_storeu_pd(re + i, _mm_unpacklo_pd(v0, v1));
-    _mm_storeu_pd(im + i, _mm_unpackhi_pd(v0, v1));
-  }
-  split_scalar(x + i, re + i, im + i, n - i);
-}
-
-void interleave_sse2(const double* re, const double* im, Complex* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vr = _mm_loadu_pd(re + i);
-    const __m128d vi = _mm_loadu_pd(im + i);
-    storec(out + i, _mm_unpacklo_pd(vr, vi));
-    storec(out + i + 1, _mm_unpackhi_pd(vr, vi));
-  }
-  interleave_scalar(re + i, im + i, out + i, n - i);
 }
 
 void radix2_stage_sse2(const Complex* src, Complex* dst, const Complex* tw,
@@ -280,15 +246,6 @@ void cmul_sse2_32(const Complex32* a, const Complex32* b, Complex32* out, std::s
   cmul_scalar(a + i, b + i, out + i, n - i);
 }
 
-void cmac_sse2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 p = cmul2f(loadc2f(a + i), loadc2f(b + i));
-    storec2f(acc + i, _mm_add_ps(loadc2f(acc + i), p));
-  }
-  cmac_scalar(a + i, b + i, acc + i, n - i);
-}
-
 void axpy_sse2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
   const __m128 av = bcastc1f(alpha);
   std::size_t i = 0;
@@ -297,13 +254,6 @@ void axpy_sse2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
     storec2f(y + i, _mm_add_ps(loadc2f(y + i), p));
   }
   axpy_scalar(alpha, x + i, y + i, n - i);
-}
-
-void scale_sse2_32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n) {
-  const __m128 av = bcastc1f(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) storec2f(out + i, cmul2f(loadc2f(x + i), av));
-  scale_scalar(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_sse2_32(float alpha, const Complex32* x, Complex32* out, std::size_t n) {
@@ -384,37 +334,14 @@ float magsq_accum_sse2_32(const Complex32* x, std::size_t n) {
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void split_sse2_32(const Complex32* x, float* re, float* im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v01 = loadc2f(x + i);
-    const __m128 v23 = loadc2f(x + i + 2);
-    _mm_storeu_ps(re + i, _mm_shuffle_ps(v01, v23, _MM_SHUFFLE(2, 0, 2, 0)));
-    _mm_storeu_ps(im + i, _mm_shuffle_ps(v01, v23, _MM_SHUFFLE(3, 1, 3, 1)));
-  }
-  split_scalar(x + i, re + i, im + i, n - i);
-}
-
-void interleave_sse2_32(const float* re, const float* im, Complex32* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vr = _mm_loadu_ps(re + i);
-    const __m128 vi = _mm_loadu_ps(im + i);
-    storec2f(out + i, _mm_unpacklo_ps(vr, vi));
-    storec2f(out + i + 2, _mm_unpackhi_ps(vr, vi));
-  }
-  interleave_scalar(re + i, im + i, out + i, n - i);
-}
-
 }  // namespace
 
 template <>
 const KernelOps<double>& sse2_ops<double>() {
   static const KernelOps<double> ops = {
-      &cmul_sse2,     &cmac_sse2,        &axpy_sse2,
-      &scale_sse2,    &scale_real_sse2,  &cdot_conj_sse2,
-      &magsq_accum_sse2, &split_sse2,    &interleave_sse2,
-      &radix2_stage_sse2, &radix4_stage_sse2, &fir_block_sse2,
+      &cmul_sse2,         &axpy_sse2,         &scale_real_sse2,
+      &cdot_conj_sse2,    &magsq_accum_sse2,  &radix2_stage_sse2,
+      &radix4_stage_sse2, &fir_block_sse2,
   };
   return ops;
 }
@@ -425,10 +352,10 @@ const KernelOps<double>& sse2_ops<double>() {
 template <>
 const KernelOps<float>& sse2_ops<float>() {
   static const KernelOps<float> ops = {
-      &cmul_sse2_32,  &cmac_sse2_32,     &axpy_sse2_32,
-      &scale_sse2_32, &scale_real_sse2_32, &cdot_conj_sse2_32,
-      &magsq_accum_sse2_32, &split_sse2_32, &interleave_sse2_32,
-      &radix2_stage_scalar<float>, &radix4_stage_scalar<float>, &fir_block_sse2_32,
+      &cmul_sse2_32,        &axpy_sse2_32,
+      &scale_real_sse2_32,  &cdot_conj_sse2_32,
+      &magsq_accum_sse2_32, &radix2_stage_scalar<float>,
+      &radix4_stage_scalar<float>, &fir_block_sse2_32,
   };
   return ops;
 }

@@ -20,10 +20,10 @@ CVec awgn_dbm(Rng& rng, std::size_t n, double power_dbm) {
   return awgn(rng, n, power_from_db(power_dbm));
 }
 
-CVec add_awgn(Rng& rng, CMutSpan x, double power_mw) {
-  CVec noise = awgn(rng, x.size(), power_mw);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] += noise[i];
-  return noise;
+void add_awgn(Rng& rng, CMutSpan x, double power_mw) {
+  FF_CHECK_MSG(std::isfinite(power_mw) && power_mw >= 0.0,
+               "awgn noise power must be finite and non-negative, got " << power_mw);
+  for (auto& s : x) s += rng.cgaussian(power_mw);
 }
 
 void set_mean_power(CMutSpan x, double power_mw) {

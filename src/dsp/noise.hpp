@@ -17,9 +17,9 @@ CVec awgn(Rng& rng, std::size_t n, double power_mw);
 /// Generate AWGN at a dBm level.
 CVec awgn_dbm(Rng& rng, std::size_t n, double power_dbm);
 
-/// Add noise of the given power in place; returns the noise actually added
-/// (needed by the cancellation tuner, which correlates against it).
-CVec add_awgn(Rng& rng, CMutSpan x, double power_mw);
+/// Add noise of total (I+Q) variance `power_mw` in place, one draw per
+/// sample in order (the same draws awgn() makes).
+void add_awgn(Rng& rng, CMutSpan x, double power_mw);
 
 /// Scale a signal to an exact mean power (no-op on silence).
 void set_mean_power(CMutSpan x, double power_mw);

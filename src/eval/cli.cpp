@@ -188,31 +188,6 @@ bool MetricsSink::write() const {
   return true;
 }
 
-void ExperimentCli::register_options(Cli& cli) {
-  clients_ = defaults_.clients_per_plan;
-  seed_ = defaults_.seed;
-  threads_ = defaults_.threads;
-  cli.add_option("--preset", &preset_, "testbed preset: mimo2x2 or siso");
-  cli.add_option("--clients", &clients_, "client locations per floor plan");
-  cli.add_option("--seed", &seed_, "experiment RNG seed");
-  cli.add_option("--threads", &threads_, "worker threads (0 = FF_THREADS / hardware)");
-  sink_.register_options(cli);
-}
-
-ExperimentConfig ExperimentCli::config() {
-  ExperimentConfig cfg = defaults_;
-  if (preset_ == "mimo2x2") {
-    cfg.testbed = make_testbed(TestbedPreset::kMimo2x2);
-  } else if (preset_ == "siso") {
-    cfg.testbed = make_testbed(TestbedPreset::kSiso);
-  } else if (!preset_.empty()) {
-    std::fprintf(stderr, "unknown testbed preset '%s', keeping the default\n",
-                 preset_.c_str());
-  }
-  return cfg.with_clients(clients_).with_seed(seed_).with_threads(threads_).with_metrics(
-      sink_.registry());
-}
-
 void StreamCli::register_options(Cli& cli, bool with_metrics_option) {
   cli.add_option("--block-size", &block_size_,
                  "samples per stream block (output is block-size invariant; "

@@ -10,9 +10,9 @@
 //     MetricsRegistry, hands out a pointer only when the user asked for
 //     metrics (so the default path stays the telemetry no-op), and writes
 //     the ff-metrics-v1 JSON on demand.
-//   * ExperimentCli   — the standard run_experiment knobs (testbed preset,
-//     --clients, --seed, --threads) plus a MetricsSink, building an
-//     ExperimentConfig via the fluent builder.
+//   * StreamCli       — the streaming-runtime knobs (block size, duration,
+//     backpressure, scheduler mode, threads, --graph, repeatable --set)
+//     plus a MetricsSink, validated as one unit.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/telemetry.hpp"
-#include "eval/experiment.hpp"
 
 namespace ff::eval {
 
@@ -141,36 +140,6 @@ class MetricsSink {
  private:
   std::string path_;
   MetricsRegistry registry_;
-};
-
-/// The standard experiment surface shared by the figure benches and
-/// experiment-driven examples: testbed preset, client count, seed, threads,
-/// and the metrics sink.
-class ExperimentCli {
- public:
-  ExperimentCli() = default;
-  explicit ExperimentCli(const ExperimentConfig& defaults) : defaults_(defaults) {}
-
-  /// Adds --preset, --clients, --seed, --threads and --metrics.
-  void register_options(Cli& cli);
-
-  /// Build the config: the defaults given at construction, overridden by
-  /// whatever the user passed, with the metrics sink wired in.
-  ExperimentConfig config();
-
-  MetricsSink& metrics_sink() { return sink_; }
-  MetricsRegistry* metrics() { return sink_.registry(); }
-
-  /// Write the metrics JSON if --metrics was given.
-  bool write_metrics() const { return sink_.write(); }
-
- private:
-  ExperimentConfig defaults_{};
-  std::string preset_;           // "" = keep the defaults' testbed
-  std::size_t clients_ = 0;      // seeded from defaults_ in register_options
-  std::uint64_t seed_ = 0;
-  std::size_t threads_ = 0;      // 0 = auto (FF_THREADS / hardware)
-  MetricsSink sink_;
 };
 
 /// One parsed `--set elem.handler=value` request: call write handler

@@ -234,4 +234,29 @@ ExperimentResults run_experiment(const ExperimentConfig& cfg) {
   return results;
 }
 
+std::uint64_t ExperimentResults::checksum() const {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  auto fold = [&h](const void* bytes, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const auto& r : locations_) {
+    fold(r.plan.data(), r.plan.size());
+    const double fields[] = {r.client.x,
+                             r.client.y,
+                             r.schemes.ap_only_mbps,
+                             r.schemes.hd_mesh_mbps,
+                             r.schemes.ff_mbps,
+                             r.schemes.af_mbps,
+                             r.schemes.baseline_snr_db,
+                             static_cast<double>(r.schemes.baseline_streams),
+                             static_cast<double>(r.category)};
+    fold(fields, sizeof(fields));
+  }
+  return h;
+}
+
 }  // namespace ff::eval

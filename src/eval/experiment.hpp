@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "eval/schemes.hpp"
@@ -162,6 +163,13 @@ class ExperimentResults {
   ExperimentResults by_category(LinkCategory c) const;
 
   ExperimentSummary summary() const;
+
+  /// FNV-1a over every location's plan name and numeric fields, in
+  /// location order: two runs are bit-identical iff their checksums match.
+  /// The standard 50-client MIMO 2x2 run at seed 20140817 is pinned to
+  /// 518fed5126199c41 (tests/parallel_test.cpp); bench_runtime prints it
+  /// per thread count.
+  std::uint64_t checksum() const;
 
  private:
   std::vector<LocationResult> locations_;

@@ -28,10 +28,6 @@ double AnalogCanceller::quantize(double gain) const {
   return amplitude_from_db(cfg_.insertion_gain_db - std::clamp(snapped, 0.0, cfg_.attenuator_range_db));
 }
 
-double AnalogCanceller::tune(const channel::MultipathChannel& si, RSpan f_grid_hz) {
-  return tune(si.response(f_grid_hz), f_grid_hz);
-}
-
 double AnalogCanceller::tune(CSpan si_response, RSpan f_grid_hz) {
   FF_CHECK(si_response.size() == f_grid_hz.size());
   const std::size_t n_f = f_grid_hz.size();
@@ -140,15 +136,6 @@ channel::MultipathChannel AnalogCanceller::as_channel() const {
   for (std::size_t k = 0; k < delays_.size(); ++k)
     if (gains_[k] > 0.0) taps.push_back({delays_[k], Complex{gains_[k], 0.0}});
   return channel::MultipathChannel(std::move(taps), cfg_.carrier_hz);
-}
-
-Complex AnalogCanceller::response(double f_bb_hz) const {
-  Complex acc{0.0, 0.0};
-  for (std::size_t k = 0; k < delays_.size(); ++k) {
-    const double ang = -kTwoPi * (cfg_.carrier_hz + f_bb_hz) * delays_[k];
-    acc += gains_[k] * Complex{std::cos(ang), std::sin(ang)};
-  }
-  return acc;
 }
 
 }  // namespace ff::fd

@@ -39,21 +39,15 @@ class AnalogCanceller {
   /// Fixed tap delays.
   const std::vector<double>& delays() const { return delays_; }
 
-  /// Tune the attenuators to best cancel `si`, evaluated on the given
-  /// baseband frequency grid. Returns the residual power ratio (residual
-  /// energy / SI energy) achieved on that grid.
-  double tune(const channel::MultipathChannel& si, RSpan f_grid_hz);
-
-  /// Tune directly from per-subcarrier SI estimates (what the hardware does:
-  /// the estimate comes from the Gaussian-probe correlation, Sec. 3.3).
+  /// Tune the attenuators from per-subcarrier SI estimates on the given
+  /// baseband frequency grid (what the hardware does: the estimate comes
+  /// from the Gaussian-probe correlation, Sec. 3.3). Returns the residual
+  /// power ratio (residual energy / SI energy) achieved on that grid.
   double tune(CSpan si_response, RSpan f_grid_hz);
 
   /// The canceller's own response as a multipath channel (for composing with
   /// the SI channel or discretizing onto the sample grid).
   channel::MultipathChannel as_channel() const;
-
-  /// Frequency response at a baseband frequency.
-  Complex response(double f_bb_hz) const;
 
  private:
   /// Quantize a linear gain onto the attenuator grid.

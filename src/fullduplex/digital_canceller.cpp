@@ -118,12 +118,4 @@ void DigitalCanceller::cancel_into(CSpan tx, CSpan rx, CMutSpan out,
   for (std::size_t i = 0; i < n; ++i) out[i] = rx[i] - est[i];
 }
 
-double cancellation_db(CSpan before, CSpan after) {
-  const double pb = dsp::mean_power(before);
-  const double pa = dsp::mean_power(after);
-  if (pa <= 0.0) return 400.0;
-  if (pb <= 0.0) return 0.0;
-  return 10.0 * std::log10(pb / pa);
-}
-
 }  // namespace ff::fd

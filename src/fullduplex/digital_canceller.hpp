@@ -84,7 +84,4 @@ class DigitalCanceller {
   CVec taps_;
 };
 
-/// Measured cancellation: 10*log10(P_before / P_after).
-double cancellation_db(CSpan before, CSpan after);
-
 }  // namespace ff::fd

@@ -63,10 +63,6 @@ CVec estimate_si_fir_probe_iterative(CSpan probe, CSpan tx, CSpan rx, std::size_
   return best_h;
 }
 
-CVec estimate_si_fir_naive(CSpan tx, CSpan rx, std::size_t taps) {
-  return estimate_fir_ls(tx, rx, taps, /*lookahead=*/0, /*ridge=*/1e-12);
-}
-
 CVec fir_response_on_grid(CSpan fir, RSpan f_bb_hz, double sample_rate_hz) {
   CVec out(f_bb_hz.size());
   for (std::size_t i = 0; i < f_bb_hz.size(); ++i) {

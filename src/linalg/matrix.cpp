@@ -23,18 +23,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::col_vector(CSpan v) {
-  Matrix m(v.size(), 1);
-  for (std::size_t i = 0; i < v.size(); ++i) m(i, 0) = v[i];
-  return m;
-}
-
-Matrix Matrix::diagonal(CSpan d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
 Matrix Matrix::operator+(const Matrix& o) const {
   FF_CHECK(rows_ == o.rows_ && cols_ == o.cols_);
   Matrix out = *this;
@@ -69,28 +57,10 @@ Matrix Matrix::operator*(Complex s) const {
   return out;
 }
 
-Matrix& Matrix::operator+=(const Matrix& o) {
-  FF_CHECK(rows_ == o.rows_ && cols_ == o.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(Complex s) {
-  for (auto& x : data_) x *= s;
-  return *this;
-}
-
 Matrix Matrix::adjoint() const {
   Matrix out(cols_, rows_);
   for (std::size_t i = 0; i < rows_; ++i)
     for (std::size_t j = 0; j < cols_; ++j) out(j, i) = std::conj((*this)(i, j));
-  return out;
-}
-
-Matrix Matrix::transpose() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
   return out;
 }
 
@@ -100,14 +70,6 @@ double Matrix::frobenius() const {
   return std::sqrt(acc);
 }
 
-Matrix Matrix::column(std::size_t c) const {
-  FF_CHECK(c < cols_);
-  Matrix out(rows_, 1);
-  for (std::size_t i = 0; i < rows_; ++i) out(i, 0) = (*this)(i, c);
-  return out;
-}
-
-Matrix operator*(Complex s, const Matrix& m) { return m * s; }
 
 namespace {
 
@@ -333,107 +295,6 @@ std::size_t rank(const Matrix& a, double tol) {
   for (const double v : s)
     if (v > tol * s[0]) ++r;
   return r;
-}
-
-Eigen hermitian_eigen(const Matrix& a) {
-  FF_CHECK(a.is_square());
-  const std::size_t n = a.rows();
-  Matrix w = a;
-  Matrix vecs = Matrix::identity(n);
-
-  for (int sweep = 0; sweep < 60; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const Complex apq = w(p, q);
-        const double mag = std::abs(apq);
-        off += mag * mag;
-        if (mag < 1e-30) continue;
-        const double app = w(p, p).real(), aqq = w(q, q).real();
-        const Complex phase = apq / mag;
-        const double tau = (aqq - app) / (2.0 * mag);
-        const double t = (tau >= 0.0 ? 1.0 : -1.0) / (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        const Complex sp = s * phase;
-
-        // W <- J^H W J where J rotates columns p,q.
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex wp = w(i, p), wq = w(i, q);
-          w(i, p) = c * wp - std::conj(sp) * wq;
-          w(i, q) = sp * wp + c * wq;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          const Complex wp = w(p, j), wq = w(q, j);
-          w(p, j) = c * wp - sp * wq;
-          w(q, j) = std::conj(sp) * wp + c * wq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex vp = vecs(i, p), vq = vecs(i, q);
-          vecs(i, p) = c * vp - std::conj(sp) * vq;
-          vecs(i, q) = sp * vp + c * vq;
-        }
-      }
-    }
-    if (off < 1e-28) break;
-  }
-
-  Eigen out;
-  out.values.resize(n);
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.values[i] = w(i, i).real();
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return w(x, x).real() < w(y, y).real();
-  });
-  Eigen sorted;
-  sorted.values.resize(n);
-  sorted.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sorted.values[j] = w(order[j], order[j]).real();
-    for (std::size_t i = 0; i < n; ++i) sorted.vectors(i, j) = vecs(i, order[j]);
-  }
-  return sorted;
-}
-
-double mimo_capacity(const Matrix& h, double snr_linear) {
-  const auto s = singular_values(h);
-  const double nt = static_cast<double>(h.cols());
-  double cap = 0.0;
-  for (const double sv : s) cap += std::log2(1.0 + snr_linear * sv * sv / nt);
-  return cap;
-}
-
-std::vector<double> water_fill(std::span<const double> gains, double total_power) {
-  FF_CHECK(total_power >= 0.0);
-  std::vector<double> power(gains.size(), 0.0);
-  if (gains.empty() || total_power == 0.0) return power;
-
-  // Sort channel indices by descending gain; add channels while the water
-  // level stays above 1/gain.
-  std::vector<std::size_t> order(gains.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return gains[a] > gains[b];
-  });
-
-  std::size_t active = 0;
-  double level = 0.0;
-  double inv_sum = 0.0;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const double g = gains[order[k]];
-    if (g <= 0.0) break;
-    inv_sum += 1.0 / g;
-    const double candidate = (total_power + inv_sum) / static_cast<double>(k + 1);
-    if (candidate < 1.0 / g) break;  // channel k would get negative power
-    active = k + 1;
-    level = candidate;
-  }
-  for (std::size_t k = 0; k < active; ++k)
-    power[order[k]] = level - 1.0 / gains[order[k]];
-  return power;
 }
 
 }  // namespace ff::linalg

@@ -24,10 +24,6 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
   static Matrix zeros(std::size_t rows, std::size_t cols) { return {rows, cols}; }
-  /// Column vector from a span.
-  static Matrix col_vector(CSpan v);
-  /// Diagonal matrix from a span.
-  static Matrix diagonal(CSpan d);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -43,26 +39,17 @@ class Matrix {
   Matrix operator-(const Matrix& o) const;
   Matrix operator*(const Matrix& o) const;
   Matrix operator*(Complex s) const;
-  Matrix& operator+=(const Matrix& o);
-  Matrix& operator*=(Complex s);
 
   /// Conjugate transpose.
   Matrix adjoint() const;
-  /// Plain transpose.
-  Matrix transpose() const;
 
   /// Frobenius norm.
   double frobenius() const;
-
-  /// Extract column c as a vector (rows x 1 matrix).
-  Matrix column(std::size_t c) const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
   CVec data_;
 };
-
-Matrix operator*(Complex s, const Matrix& m);
 
 /// Determinant via LU with partial pivoting. Requires square.
 Complex determinant(const Matrix& a);
@@ -91,21 +78,5 @@ Svd svd(const Matrix& a);
 
 /// Numerical rank: number of singular values > tol * max(sigma).
 std::size_t rank(const Matrix& a, double tol = 1e-9);
-
-/// Eigen-decomposition of a Hermitian matrix via cyclic Jacobi rotations.
-struct Eigen {
-  std::vector<double> values;  // ascending
-  Matrix vectors;              // columns are eigenvectors
-};
-Eigen hermitian_eigen(const Matrix& a);
-
-/// Shannon capacity (bits/s/Hz) of a MIMO channel H at per-stream SNR
-/// `snr_linear` with equal power allocation: sum log2(1 + snr * s_i^2 / Nt).
-double mimo_capacity(const Matrix& h, double snr_linear);
-
-/// Water-filling power allocation over parallel channel gains
-/// (gains_i = |h_i|^2 / noise_i), total power constraint `total_power`.
-/// Returns per-channel powers summing to total_power.
-std::vector<double> water_fill(std::span<const double> gains, double total_power);
 
 }  // namespace ff::linalg

@@ -144,15 +144,4 @@ std::vector<double> demodulate_soft(CSpan symbols, Modulation m, double noise_va
   return llrs;
 }
 
-double min_snr_db(Modulation m) {
-  switch (m) {
-    case Modulation::BPSK: return 1.0;
-    case Modulation::QPSK: return 4.0;
-    case Modulation::QAM16: return 11.0;
-    case Modulation::QAM64: return 17.5;
-    case Modulation::QAM256: return 24.0;
-  }
-  return 0.0;
-}
-
 }  // namespace ff::phy

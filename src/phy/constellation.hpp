@@ -34,9 +34,4 @@ std::vector<double> demodulate_soft(CSpan symbols, Modulation m, double noise_va
 /// index i is the encoding of the bit pattern i).
 CVec constellation_points(Modulation m);
 
-/// Minimum SNR (dB) at which the modulation's uncoded symbol error rate is
-/// acceptable — used for sanity checks, the MCS table has the real
-/// operational thresholds.
-double min_snr_db(Modulation m);
-
 }  // namespace ff::phy

@@ -33,16 +33,6 @@ unsigned next_state(unsigned state, unsigned bit) { return ((bit << 6) | state) 
 
 }  // namespace
 
-double code_rate_value(CodeRate r) {
-  switch (r) {
-    case CodeRate::R1_2: return 1.0 / 2.0;
-    case CodeRate::R2_3: return 2.0 / 3.0;
-    case CodeRate::R3_4: return 3.0 / 4.0;
-    case CodeRate::R5_6: return 5.0 / 6.0;
-  }
-  return 0.0;
-}
-
 std::string to_string(CodeRate r) {
   switch (r) {
     case CodeRate::R1_2: return "1/2";

@@ -12,9 +12,6 @@ namespace ff::phy {
 
 enum class CodeRate : std::uint8_t { R1_2, R2_3, R3_4, R5_6 };
 
-/// Numeric value of the rate (0.5, 2/3, ...).
-double code_rate_value(CodeRate r);
-
 std::string to_string(CodeRate r);
 
 /// Convolutionally encode (rate 1/2 mother code), then puncture to `rate`.

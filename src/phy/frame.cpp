@@ -116,14 +116,6 @@ std::size_t signature_prefix_len(const OfdmParams& params) {
 
 Transmitter::Transmitter(OfdmParams params) : params_(params), modem_(params) {}
 
-std::size_t Transmitter::data_symbols(std::size_t payload_bits, int mcs_index) const {
-  const Mcs& mcs = mcs_table().at(static_cast<std::size_t>(mcs_index));
-  const std::size_t n_cbps =
-      params_.data_subcarriers().size() * bits_per_symbol(mcs.modulation);
-  const std::size_t coded = coded_length(payload_bits + 32, mcs.rate);
-  return (coded + n_cbps - 1) / n_cbps;
-}
-
 CVec Transmitter::modulate(std::span<const std::uint8_t> payload, const TxOptions& opts) const {
   const Mcs& mcs = mcs_table().at(static_cast<std::size_t>(opts.mcs_index));
   const auto lay = layout(params_);

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "dsp/kernels/kernels.hpp"
-#include "dsp/kernels/workspace.hpp"
 
 namespace ff::phy {
 
@@ -32,7 +30,15 @@ CVec OfdmModem::modulate_symbol(CSpan used_values) const {
   return symbol;
 }
 
-CVec OfdmModem::extract_used(CSpan freq, std::size_t cp_advance) const {
+CVec OfdmModem::demodulate_symbol(CSpan symbol) const { return demodulate_symbol(symbol, 0); }
+
+CVec OfdmModem::demodulate_symbol(CSpan symbol, std::size_t cp_advance) const {
+  FF_CHECK(symbol.size() == params_.symbol_len());
+  FF_CHECK(cp_advance < params_.cp_len);
+  CVec freq(params_.fft_size);
+  const std::size_t start = params_.cp_len - cp_advance;
+  for (std::size_t i = 0; i < params_.fft_size; ++i) freq[i] = symbol[start + i];
+  plan_.forward(freq);
   const double norm = 1.0 / std::sqrt(static_cast<double>(params_.fft_size) *
                                       static_cast<double>(params_.fft_size) /
                                       static_cast<double>(used_.size()));
@@ -49,69 +55,6 @@ CVec OfdmModem::extract_used(CSpan freq, std::size_t cp_advance) const {
     }
     out[i] = v;
   }
-  return out;
-}
-
-CVec OfdmModem::demodulate_symbol(CSpan symbol) const { return demodulate_symbol(symbol, 0); }
-
-CVec OfdmModem::demodulate_symbol(CSpan symbol, std::size_t cp_advance) const {
-  FF_CHECK(symbol.size() == params_.symbol_len());
-  FF_CHECK(cp_advance < params_.cp_len);
-  CVec freq(params_.fft_size);
-  const std::size_t start = params_.cp_len - cp_advance;
-  for (std::size_t i = 0; i < params_.fft_size; ++i) freq[i] = symbol[start + i];
-  plan_.forward(freq);
-  return extract_used(freq, cp_advance);
-}
-
-CVec OfdmModem::modulate_burst(CSpan values) const {
-  FF_CHECK(values.size() % used_.size() == 0);
-  const std::size_t n_symbols = values.size() / used_.size();
-  CVec out(n_symbols * params_.symbol_len());
-  if (n_symbols == 0) return out;
-  const std::size_t nfft = params_.fft_size;
-  // Stage every symbol's subcarrier grid contiguously and run ONE batched
-  // inverse transform (each block bit-identical to plan_.inverse on it).
-  thread_local dsp::kernels::Workspace ws;
-  CMutSpan freq = ws.get(0, n_symbols * nfft);
-  std::fill(freq.begin(), freq.end(), Complex{});
-  for (std::size_t s = 0; s < n_symbols; ++s)
-    for (std::size_t i = 0; i < used_.size(); ++i)
-      freq[s * nfft + params_.fft_bin(used_[i])] = values[s * used_.size() + i];
-  CMutSpan time = ws.get(1, n_symbols * nfft);
-  plan_.execute_many(freq, time, n_symbols, /*invert=*/true);
-  const double norm = std::sqrt(static_cast<double>(nfft) * static_cast<double>(nfft) /
-                                static_cast<double>(used_.size()));
-  dsp::kernels::scale_real(norm, time, time);
-  for (std::size_t s = 0; s < n_symbols; ++s) {
-    const Complex* sym = time.data() + s * nfft;
-    Complex* dst = out.data() + s * params_.symbol_len();
-    for (std::size_t i = 0; i < params_.cp_len; ++i)
-      dst[i] = sym[nfft - params_.cp_len + i];
-    for (std::size_t i = 0; i < nfft; ++i) dst[params_.cp_len + i] = sym[i];
-  }
-  return out;
-}
-
-std::vector<CVec> OfdmModem::demodulate_burst(CSpan samples, std::size_t n_symbols) const {
-  FF_CHECK(samples.size() >= n_symbols * params_.symbol_len());
-  std::vector<CVec> out;
-  out.reserve(n_symbols);
-  if (n_symbols == 0) return out;
-  const std::size_t nfft = params_.fft_size;
-  // Gather the CP-stripped windows contiguously, one batched forward
-  // transform, then per-symbol bin extraction.
-  thread_local dsp::kernels::Workspace ws;
-  CMutSpan windows = ws.get(0, n_symbols * nfft);
-  for (std::size_t s = 0; s < n_symbols; ++s) {
-    const CSpan sym = samples.subspan(s * params_.symbol_len(), params_.symbol_len());
-    std::copy(sym.begin() + static_cast<std::ptrdiff_t>(params_.cp_len), sym.end(),
-              windows.begin() + static_cast<std::ptrdiff_t>(s * nfft));
-  }
-  CMutSpan spectra = ws.get(1, n_symbols * nfft);
-  plan_.execute_many(windows, spectra, n_symbols);
-  for (std::size_t s = 0; s < n_symbols; ++s)
-    out.push_back(extract_used(CSpan{spectra.data() + s * nfft, nfft}, 0));
   return out;
 }
 

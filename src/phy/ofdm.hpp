@@ -28,20 +28,7 @@ class OfdmModem {
   /// arrives before the sync point).
   CVec demodulate_symbol(CSpan symbol, std::size_t cp_advance) const;
 
-  /// Build a full burst of symbols; `values` has 56 entries per symbol.
-  /// All symbols go through one batched FftPlan::execute_many call (each
-  /// transform is bit-identical to the per-symbol path).
-  CVec modulate_burst(CSpan values) const;
-
-  /// Split a burst into symbols and demodulate each. Batched like
-  /// modulate_burst; per-symbol results match demodulate_symbol bit for bit.
-  std::vector<CVec> demodulate_burst(CSpan samples, std::size_t n_symbols) const;
-
  private:
-  /// Pull the used-subcarrier values out of one FFT output (shared by the
-  /// single-symbol and burst demodulators).
-  CVec extract_used(CSpan freq, std::size_t cp_advance) const;
-
   OfdmParams params_;
   dsp::FftPlan<> plan_;
   std::vector<int> used_;

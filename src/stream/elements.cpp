@@ -35,6 +35,17 @@ Precision parse_precision(const Params& p) {
   return Precision::kF64;  // unreachable
 }
 
+/// A CFO at or beyond Nyquist aliases onto one below it, and past the rate
+/// its phase step exceeds 2*pi, which CfoRotator's once-per-sample wrap
+/// cannot keep bounded. Checked where graph text and control writes set a
+/// CFO, before anything is assigned, so a refused value leaves the old one
+/// in place.
+void check_cfo_below_nyquist(const std::string& context, double cfo_hz, double rate_hz) {
+  FF_CHECK_MSG(std::abs(cfo_hz) < rate_hz / 2.0,
+               context << ": |" << cfo_hz << "| Hz must be below rate/2 = " << rate_hz / 2.0
+                       << " Hz");
+}
+
 /// The channel noise sampler's key: one draw from the channel's "noise"
 /// stream, so the channel seed alone selects the noise realization.
 std::uint64_t noise_key(std::uint64_t seed) {
@@ -171,10 +182,13 @@ CfoElement::CfoElement(std::string name, double cfo_hz, double sample_rate_hz,
       sample_rate_hz_(sample_rate_hz), precision_(precision) {}
 
 void CfoElement::configure(const Params& p) {
-  sample_rate_hz_ = p.get_double_or("rate", sample_rate_hz_);
-  FF_CHECK_MSG(sample_rate_hz_ > 0.0, p.context() << ": rate: must be positive");
+  const double rate = p.get_double_or("rate", sample_rate_hz_);
+  FF_CHECK_MSG(rate > 0.0, p.context() << ": rate: must be positive");
+  const double hz = p.get_double("hz");
+  check_cfo_below_nyquist(p.context() + ": hz", hz, rate);
+  sample_rate_hz_ = rate;
   // set_cfo at phase 0 is state-identical to constructing the rotator.
-  rot_.set_cfo(p.get_double("hz"), sample_rate_hz_);
+  rot_.set_cfo(hz, sample_rate_hz_);
   precision_ = parse_precision(p);
 }
 
@@ -183,7 +197,9 @@ void CfoElement::add_handlers(HandlerRegistry& h) {
   h.add_read("cfo_hz", [this] { return format_double(rot_.cfo_hz()); });
   h.add_read("phase", [this] { return format_double(rot_.phase()); });
   h.add_write("set_cfo", [this](const std::string& v) {
-    rot_.set_cfo(parse_double_value(name() + ".set_cfo", v), sample_rate_hz_);
+    const double hz = parse_double_value(name() + ".set_cfo", v);
+    check_cfo_below_nyquist(name() + ".set_cfo", hz, sample_rate_hz_);
+    rot_.set_cfo(hz, sample_rate_hz_);
   });
 }
 
@@ -223,7 +239,9 @@ void PipelineElement::configure(const Params& p) {
   cfg.tx_filter = p.get_cvec_or("tx_filter", cfg.tx_filter);
   cfg.scrub_nonfinite = p.get_bool_or("scrub_nonfinite", cfg.scrub_nonfinite);
   cfg.precision = parse_precision(p);
-  pipeline_ = relay::ForwardPipeline(std::move(cfg));
+  relay::ForwardPipeline next(cfg);  // validates the rate and the taps
+  check_cfo_below_nyquist(p.context() + ": cfo_hz", cfg.cfo_hz, cfg.sample_rate_hz);
+  pipeline_ = std::move(next);
 }
 
 void PipelineElement::add_handlers(HandlerRegistry& h) {

@@ -137,9 +137,11 @@ class FirElement : public Transform {
 
 /// Phase-continuous CFO rotation (channel::CfoRotator).
 ///
-/// Params: hz (required), rate (default 20e6), precision (f64 | f32 — the
-/// float32 fast path: narrow once, rotate in f32, widen once).
-/// Handlers: cfo_hz, phase (read), set_cfo (write, phase-continuous retune).
+/// Params: hz (required, |hz| < rate/2), rate (default 20e6), precision
+/// (f64 | f32 — the float32 fast path: narrow once, rotate in f32, widen
+/// once).
+/// Handlers: cfo_hz, phase (read), set_cfo (write, phase-continuous retune;
+/// a value at or beyond rate/2 is refused and the old CFO kept).
 class CfoElement : public Transform {
  public:
   explicit CfoElement(std::string name);
@@ -171,9 +173,9 @@ class CfoElement : public Transform {
 /// derives it) — then the ADC/DAC + buffering delay FIFO; with
 /// restore_cfo=false one output rotator follows the FIR. Stateful across
 /// blocks.
-/// Params: rate, adc_dac_delay, extra_buffer, cfo_hz, restore_cfo,
-/// prefilter (complex list), analog_rotation, gain_db, tx_filter
-/// (complex list), scrub_nonfinite, precision (f64 | f32 — the
+/// Params: rate, adc_dac_delay, extra_buffer, cfo_hz (|cfo_hz| < rate/2),
+/// restore_cfo, prefilter (complex list), analog_rotation, gain_db,
+/// tx_filter (complex list), scrub_nonfinite, precision (f64 | f32 — the
 /// mixed-precision forward fast path, relay::PipelineConfig::precision).
 /// Handlers: scrubbed, max_delay_s (read).
 class PipelineElement : public Transform {

@@ -57,8 +57,6 @@ class ElementRegistry {
   }
 
   bool has(const std::string& class_name) const;
-  /// Registered class names, sorted (for catalogs and error messages).
-  std::vector<std::string> class_names() const;
 
   /// Construct `class_name` as instance `name` and configure it from
   /// `params`. FF_CHECKs the class is known (naming the known ones), and

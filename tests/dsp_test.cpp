@@ -99,48 +99,6 @@ TEST(Fft, ConvolveMatchesDirect) {
     EXPECT_NEAR(std::abs(fast[i] - direct[i]), 0.0, 1e-9);
 }
 
-TEST(Fft, ShiftInvertsItself) {
-  Rng rng(6);
-  for (const std::size_t n : {8u, 9u, 15u, 16u}) {
-    CVec x(n);
-    for (auto& v : x) v = rng.cgaussian();
-    const CVec round = dsp::ifftshift(dsp::fftshift(x));
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(round[i] - x[i]), 0.0, 1e-12);
-  }
-}
-
-TEST(Fft, ShiftRoundTripsBothOrdersAtOddLengths) {
-  // At odd lengths fftshift and ifftshift are NOT self-inverse (the halves
-  // differ by one element), so both compositions must be checked — and they
-  // must be exact permutations, not approximate.
-  Rng rng(61);
-  for (const std::size_t n : {1u, 3u, 5u, 9u, 15u, 17u, 63u}) {
-    CVec x(n);
-    for (auto& v : x) v = rng.cgaussian();
-    const CVec a = dsp::ifftshift(dsp::fftshift(x));
-    const CVec b = dsp::fftshift(dsp::ifftshift(x));
-    ASSERT_EQ(a.size(), n);
-    ASSERT_EQ(b.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(a[i], x[i]) << "ifftshift(fftshift) at n=" << n << " i=" << i;
-      EXPECT_EQ(b[i], x[i]) << "fftshift(ifftshift) at n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Fft, FftshiftCentersDcAtOddLengths) {
-  // x[0] (the DC bin) must land on the centre element floor(n/2), matching
-  // the numpy/matlab convention the spectrum code assumes.
-  for (const std::size_t n : {3u, 5u, 7u, 9u, 15u}) {
-    CVec x(n, Complex{});
-    x[0] = Complex{1.0, 0.0};
-    const CVec shifted = dsp::fftshift(x);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(shifted[i], (i == n / 2 ? Complex{1.0, 0.0} : Complex{}))
-          << "n=" << n << " i=" << i;
-  }
-}
-
 TEST(Fft, ConvolveEmptyInputReturnsEmpty) {
   // Pins fft_convolve's early return: an empty operand never reaches the
   // plan layer (where next_power_of_two(0) would now throw).

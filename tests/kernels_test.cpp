@@ -148,17 +148,6 @@ TEST(KernelsBitwise, CmulMatchesScalar) {
   });
 }
 
-TEST(KernelsBitwise, CmacMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan b, std::size_t n) {
-    Rng rng(n);
-    k::AlignedCVec got = random_vec(rng, n);
-    k::AlignedCVec want = got;
-    k::cmac(a, b, got);
-    k::scalar::cmac(a, b, want);
-    EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
-  });
-}
-
 TEST(KernelsBitwise, AxpyMatchesScalar) {
   const Complex alpha{0.7, -1.3};
   for_each_shape([&](CSpan a, CSpan, std::size_t n) {
@@ -167,16 +156,6 @@ TEST(KernelsBitwise, AxpyMatchesScalar) {
     k::AlignedCVec want = got;
     k::axpy(alpha, a, got);
     k::scalar::axpy(alpha, a, want);
-    EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwise, ScaleMatchesScalar) {
-  const Complex alpha{-0.2, 2.5};
-  for_each_shape([&](CSpan a, CSpan, std::size_t n) {
-    k::AlignedCVec got(n), want(n);
-    k::scale(alpha, a, got);
-    k::scalar::scale(alpha, a, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
@@ -212,21 +191,6 @@ TEST(KernelsBitwise, MagsqAccumMatchesScalar) {
     const double got = k::magsq_accum(a);
     const double want = k::scalar::magsq_accum(a);
     EXPECT_TRUE(std::memcmp(&got, &want, sizeof(double)) == 0) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwise, SplitInterleaveMatchesScalarAndRoundTrips) {
-  for_each_shape([](CSpan a, CSpan, std::size_t n) {
-    std::vector<double> re(n), im(n), re2(n), im2(n);
-    k::split(a, re, im);
-    k::scalar::split(a, re2, im2);
-    EXPECT_EQ(std::memcmp(re.data(), re2.data(), n * sizeof(double)), 0) << "n=" << n;
-    EXPECT_EQ(std::memcmp(im.data(), im2.data(), n * sizeof(double)), 0) << "n=" << n;
-    k::AlignedCVec got(n), want(n);
-    k::interleave(re, im, got);
-    k::scalar::interleave(re, im, want);
-    EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
-    EXPECT_TRUE(bitwise_equal(got, a)) << "n=" << n;  // round trip
   });
 }
 
@@ -271,17 +235,6 @@ TEST(KernelsBitwiseF32, CmulMatchesScalar) {
   });
 }
 
-TEST(KernelsBitwiseF32, CmacMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32 b, std::size_t n) {
-    Rng rng(n);
-    k::AlignedCVec32 got = random_vec32(rng, n);
-    k::AlignedCVec32 want = got;
-    k::cmac(a, b, got);
-    k::scalar::cmac(a, b, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
 TEST(KernelsBitwiseF32, AxpyMatchesScalar) {
   const Complex32 alpha{0.7f, -1.3f};
   for_each_shape32([&](CSpan32 a, CSpan32, std::size_t n) {
@@ -290,16 +243,6 @@ TEST(KernelsBitwiseF32, AxpyMatchesScalar) {
     k::AlignedCVec32 want = got;
     k::axpy(alpha, a, got);
     k::scalar::axpy(alpha, a, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, ScaleMatchesScalar) {
-  const Complex32 alpha{-0.2f, 2.5f};
-  for_each_shape32([&](CSpan32 a, CSpan32, std::size_t n) {
-    k::AlignedCVec32 got(n), want(n);
-    k::scale(alpha, a, got);
-    k::scalar::scale(alpha, a, want);
     EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
   });
 }
@@ -335,21 +278,6 @@ TEST(KernelsBitwiseF32, MagsqAccumMatchesScalar) {
     const float got = k::magsq_accum(a);
     const float want = k::scalar::magsq_accum(a);
     EXPECT_TRUE(std::memcmp(&got, &want, sizeof(float)) == 0) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, SplitInterleaveMatchesScalarAndRoundTrips) {
-  for_each_shape32([](CSpan32 a, CSpan32, std::size_t n) {
-    std::vector<float> re(n), im(n), re2(n), im2(n);
-    k::split(a, re, im);
-    k::scalar::split(a, re2, im2);
-    EXPECT_EQ(std::memcmp(re.data(), re2.data(), n * sizeof(float)), 0) << "n=" << n;
-    EXPECT_EQ(std::memcmp(im.data(), im2.data(), n * sizeof(float)), 0) << "n=" << n;
-    k::AlignedCVec32 got(n), want(n);
-    k::interleave(re, im, got);
-    k::scalar::interleave(re, im, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-    EXPECT_TRUE(bitwise_equal32(got, a)) << "n=" << n;  // round trip
   });
 }
 

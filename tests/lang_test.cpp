@@ -203,6 +203,34 @@ TEST(Handlers, PositionedWriteRequiresSupport) {
   EXPECT_EQ(fir.pending_writes(), 1u);
 }
 
+TEST(Handlers, CfoAtOrBeyondNyquistIsRefusedAndTheOldOneKept) {
+  // |cfo| >= rate/2 aliases, and past the rate the phase step outruns
+  // CfoRotator's 2*pi wrap: refused wherever graph text or a write sets it.
+  for (const char* text : {"c :: Cfo(hz=1e7, rate=2e7);",
+                           "c :: Cfo(hz=-3e7, rate=2e7);",
+                           "c :: Pipeline(rate=2e7, cfo_hz=1e7, restore_cfo=false);"}) {
+    Graph g;
+    const std::string msg = thrown_message(
+        [&] { stream::build_graph(g, std::string(text) + " c -> NullSink();", "g.ff"); });
+    EXPECT_NE(msg.find("must be below rate/2"), std::string::npos) << text << ": " << msg;
+  }
+
+  stream::CfoElement cfo("cfo");
+  Params p;
+  p.set("hz", "1500");
+  p.set("rate", "2e7");
+  cfo.configure(p);
+  const std::string phase = cfo.call_read("phase");
+  for (const char* v : {"1e7", "-1e7", "3e7"}) {
+    const std::string msg = thrown_message([&] { cfo.call_write("set_cfo", v); });
+    EXPECT_NE(msg.find("cfo.set_cfo"), std::string::npos) << v << ": " << msg;
+    EXPECT_EQ(cfo.call_read("cfo_hz"), "1500") << v;
+    EXPECT_EQ(cfo.call_read("phase"), phase) << v;
+  }
+  cfo.call_write("set_cfo", "9.99e6");
+  EXPECT_EQ(cfo.call_read("cfo_hz"), "9990000");
+}
+
 // ------------------------------------------------------------------ parsing
 
 const char* kExampleGraph =

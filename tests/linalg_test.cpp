@@ -165,65 +165,5 @@ TEST(Svd, UnitaryHasUnitSingularValues) {
   for (const double sv : linalg::singular_values(q)) EXPECT_NEAR(sv, 1.0, 1e-8);
 }
 
-TEST(Eigen, HermitianDecompositionReconstructs) {
-  Rng rng(501);
-  const Matrix m = random_matrix(rng, 4, 4);
-  const Matrix h = m + m.adjoint();  // Hermitian
-  const auto e = linalg::hermitian_eigen(h);
-  Matrix rec(4, 4);
-  for (std::size_t k = 0; k < 4; ++k)
-    for (std::size_t i = 0; i < 4; ++i)
-      for (std::size_t j = 0; j < 4; ++j)
-        rec(i, j) += e.values[k] * e.vectors(i, k) * std::conj(e.vectors(j, k));
-  EXPECT_NEAR(mat_dist(rec, h), 0.0, 1e-8);
-  // Ascending order.
-  for (std::size_t i = 0; i + 1 < 4; ++i) EXPECT_LE(e.values[i], e.values[i + 1]);
-}
-
-TEST(Capacity, MimoCapacityIncreasesWithSnr) {
-  Rng rng(601);
-  const Matrix h = random_matrix(rng, 2, 2);
-  const double c1 = linalg::mimo_capacity(h, 1.0);
-  const double c2 = linalg::mimo_capacity(h, 100.0);
-  EXPECT_GT(c2, c1);
-}
-
-TEST(Capacity, RankOneChannelGainsLittleFromSecondStream) {
-  Rng rng(602);
-  const Matrix u = random_matrix(rng, 2, 1);
-  const Matrix v = random_matrix(rng, 2, 1);
-  const Matrix keyhole = u * v.adjoint();
-  const Matrix full = random_matrix(rng, 2, 2);
-  // Normalize to the same Frobenius norm for a fair comparison.
-  const Matrix kn = keyhole * Complex{1.0 / keyhole.frobenius(), 0.0};
-  const Matrix fn = full * Complex{1.0 / full.frobenius(), 0.0};
-  const double snr = 1000.0;
-  // The full-rank channel carries two streams; keyhole carries one.
-  EXPECT_GT(linalg::mimo_capacity(fn, snr), 1.2 * linalg::mimo_capacity(kn, snr) - 2.0);
-}
-
-TEST(WaterFill, ConservesPowerAndPrefersStrongChannels) {
-  const std::vector<double> gains{10.0, 1.0, 0.1};
-  const auto p = linalg::water_fill(gains, 3.0);
-  double total = 0.0;
-  for (const double v : p) total += v;
-  EXPECT_NEAR(total, 3.0, 1e-9);
-  EXPECT_GE(p[0], p[1]);
-  EXPECT_GE(p[1], p[2]);
-}
-
-TEST(WaterFill, DropsHopelessChannels) {
-  const std::vector<double> gains{100.0, 1e-6};
-  const auto p = linalg::water_fill(gains, 0.5);
-  EXPECT_NEAR(p[0], 0.5, 1e-9);
-  EXPECT_NEAR(p[1], 0.0, 1e-12);
-}
-
-TEST(WaterFill, EqualGainsSplitEqually) {
-  const std::vector<double> gains{2.0, 2.0, 2.0, 2.0};
-  const auto p = linalg::water_fill(gains, 8.0);
-  for (const double v : p) EXPECT_NEAR(v, 2.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace ff

@@ -106,7 +106,8 @@ TEST(Seeding, ForkNamedMatchesTheHistoricalSpelling) {
   // common/seeding.hpp replaced the hand-rolled master.fork(fnv1a_64(name))
   // spelling used by run_experiment and the stream elements. The helpers
   // must stay byte-equivalent forever: the experiment checksum
-  // (518fed5126199c41, tests/eval bench) is pinned on these exact streams.
+  // (518fed5126199c41, Experiment.StandardRunChecksumIsPinned) is pinned on
+  // these exact streams.
   Rng a(42), b(42);
   Rng forked = seeding::fork_named(a, "paper_home");
   Rng manual = b.fork(fnv1a_64("paper_home"));
@@ -179,6 +180,19 @@ TEST(Experiment, ThreadCountNeverChangesResults) {
     EXPECT_EQ(a.schemes.baseline_streams, b.schemes.baseline_streams);
     EXPECT_EQ(a.category, b.category);
   }
+}
+
+TEST(Experiment, StandardRunChecksumIsPinned) {
+  // The standard evaluation (bench_common.hpp standard_run, every figure
+  // bench) at the worker count FF_THREADS or the hardware gives. Any change
+  // to channel synthesis, relay design, scheme rates or the RNG streams
+  // moves this pin; the thread count never does.
+  const auto results = eval::run_experiment(
+      eval::ExperimentConfig::for_testbed(eval::TestbedPreset::kMimo2x2)
+          .with_clients(50)
+          .with_seed(20140817));
+  ASSERT_EQ(results.size(), 200u);
+  EXPECT_EQ(results.checksum(), 0x518fed5126199c41ULL);
 }
 
 TEST(Experiment, SeedStillSelectsDistinctScenarios) {

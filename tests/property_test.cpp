@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "dsp/window.hpp"
 #include "eval/experiment.hpp"
 #include "eval/schemes.hpp"
 #include "eval/testbed.hpp"
@@ -17,34 +16,6 @@
 
 namespace ff {
 namespace {
-
-// ---------------------------------------------------------- windows
-
-TEST(Window, KnownEnbwValues) {
-  // Classic figures (large-n limits): Hann 1.50 bins, Hamming 1.36,
-  // Blackman 1.73, Blackman-Harris 2.00.
-  const std::size_t n = 4096;
-  EXPECT_NEAR(dsp::enbw_bins(dsp::make_window(dsp::WindowType::kHann, n)), 1.50, 0.01);
-  EXPECT_NEAR(dsp::enbw_bins(dsp::make_window(dsp::WindowType::kHamming, n)), 1.36, 0.01);
-  EXPECT_NEAR(dsp::enbw_bins(dsp::make_window(dsp::WindowType::kBlackman, n)), 1.73, 0.01);
-  EXPECT_NEAR(dsp::enbw_bins(dsp::make_window(dsp::WindowType::kBlackmanHarris, n)), 2.00,
-              0.01);
-  EXPECT_NEAR(dsp::enbw_bins(dsp::make_window(dsp::WindowType::kRect, n)), 1.0, 1e-9);
-}
-
-TEST(Window, SymmetricAndBounded) {
-  for (const auto type : {dsp::WindowType::kHann, dsp::WindowType::kHamming,
-                          dsp::WindowType::kBlackman, dsp::WindowType::kBlackmanHarris}) {
-    const auto w = dsp::make_window(type, 257);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12);
-      EXPECT_GE(w[i], -1e-12);
-      EXPECT_LE(w[i], 1.0 + 1e-12);
-    }
-    EXPECT_GT(dsp::coherent_gain(w), 0.0);
-    EXPECT_LT(dsp::coherent_gain(w), 1.0);
-  }
-}
 
 // ------------------------------------------------- CNF properties
 

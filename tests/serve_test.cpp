@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "channel/cfo.hpp"
 #include "channel/floorplan.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
@@ -700,6 +701,68 @@ std::string wait_stats(int ctl_fd, const std::string& needle) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return last;
+}
+
+TEST(RelayDaemon, RefusesACfoWriteAtNyquistAndKeepsServing) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string out_ep = "unix:" + dir + "/out.sock";
+  const std::string ctl_ep = "unix:" + dir + "/ctl.sock";
+
+  serve::DaemonConfig cfg;
+  cfg.graph_text = "in :: SocketSource(endpoint=" + in_ep + ", poll_ms=5);\n" +
+                   "cfo :: Cfo(hz=1000, rate=2e7);\n" +
+                   "out :: SocketSink(endpoint=" + out_ep + ", listen=true);\n" +
+                   "in -> cfo -> out;\n";
+  cfg.graph_source = "daemon_test.ff";
+  cfg.control = ctl_ep;
+  cfg.log = [](const std::string&) {};  // quiet
+
+  serve::RelayDaemon daemon(std::move(cfg));
+  std::thread runner([&] { daemon.run(); });
+
+  const stream::OwnedFd ctl =
+      stream::wire_connect(stream::parse_endpoint("t", ctl_ep), 20.0);
+  const stream::OwnedFd tx =
+      stream::wire_connect(stream::parse_endpoint("t", in_ep), 20.0);
+  stream::wire_send_magic(tx.get());
+  const stream::OwnedFd rx =
+      stream::wire_connect(stream::parse_endpoint("t", out_ep), 20.0);
+  bool magic_seen = false;
+
+  // The session's rotator, replayed: every frame out must be the next
+  // stretch of one 1 kHz rotation, before and after the refused write.
+  channel::CfoRotator replay(1000.0, 2e7);
+  Rng rng(61);
+  CVec frame(128), got;
+  auto round_trip = [&](const char* label) {
+    for (Complex& v : frame) v = rng.cgaussian();
+    stream::wire_send_frame(tx.get(), CSpan{frame.data(), frame.size()});
+    if (!magic_seen) stream::wire_expect_magic(rx.get());
+    magic_seen = true;
+    ASSERT_EQ(stream::wire_recv_frame(rx.get(), got, 20000), stream::WireRecv::kFrame)
+        << label;
+    EXPECT_EQ(got, replay.process(frame)) << label;
+  };
+  round_trip("before");
+
+  for (const char* v : {"1e7", "-1e7", "3e7"}) {
+    const std::string reply = control(ctl.get(), std::string("write cfo.set_cfo ") + v);
+    EXPECT_EQ(reply.rfind("err bad-value", 0), 0u) << v << ": " << reply;
+    EXPECT_NE(reply.find("rate/2"), std::string::npos) << v << ": " << reply;
+    EXPECT_EQ(control(ctl.get(), "read cfo.cfo_hz"), "ok 1000") << v;
+  }
+  EXPECT_EQ(control(ctl.get(), "ping"), "ok pong");
+  round_trip("after");
+
+  stream::wire_send_eos(tx.get());
+  const stream::WireRecv tail = stream::wire_recv_frame(rx.get(), got, 20000);
+  EXPECT_TRUE(tail == stream::WireRecv::kEos || tail == stream::WireRecv::kEof);
+  wait_stats(ctl.get(), "sessions_completed=1");
+  EXPECT_EQ(control(ctl.get(), "shutdown"), "ok shutting-down");
+  runner.join();
+  EXPECT_EQ(daemon.sessions_completed(), 1u);
+  EXPECT_EQ(daemon.sessions_aborted(), 0u);
 }
 
 // Regression: shutdown with a session in flight used to hang run() forever
